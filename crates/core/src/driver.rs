@@ -83,10 +83,10 @@ pub struct SimOptions {
     pub localities: usize,
     /// Mid-run adaptive regridding: every `Some(k)` steps the driver runs
     /// the density/shock criterion pass ([`Simulation::regrid`]) before the
-    /// step proper, hands the resulting [`octree::RegridDelta`] to the
-    /// gravity solver (which patches its cached plans subtree-locally
-    /// instead of rebuilding them), and rebuilds only the touched leaves'
-    /// workspaces.  `None` — the default — never regrids mid-run.
+    /// step proper.  The regrid bumps the tree's `topology_version`, so the
+    /// step's gravity solve rebuilds its cached interaction and halo plans
+    /// and the workspaces of consumed leaves are dropped.  `None` — the
+    /// default — never regrids mid-run.
     /// Defaults from `OCTO_REGRID_CADENCE` (CI's adaptive-run axis).
     pub regrid_cadence: Option<usize>,
     /// Maximum refinement level the cadence-driven criterion pass may
@@ -209,11 +209,6 @@ pub struct StepStats {
     /// Octets coarsened by this step's cadence-driven regrid pass (also
     /// exported as `/octotiger/regrid/derefined`).
     pub regrid_derefined: u64,
-    /// Whether this step's gravity plans were *patched* subtree-locally
-    /// from the regrid delta instead of rebuilt from scratch (the
-    /// `/octotiger/regrid/plan-patched` path; `false` when no regrid ran,
-    /// the topology was unchanged, or the solver fell back to a rebuild).
-    pub gravity_plan_patched: bool,
     /// The granularity tuner's chosen configs and activity counts after
     /// this step (`None` unless [`SimOptions::autotune`] is on).
     pub tuner: Option<hpx_rt::TunerSnapshot>,
@@ -273,11 +268,6 @@ pub struct Simulation {
 impl Simulation {
     /// Wrap an initialized grid.
     pub fn new(grid: DistGrid, opts: SimOptions) -> Simulation {
-        // The construction-time delta (the scenario's initial refines)
-        // predates every cached plan; drain it so the first mid-run
-        // regrid's delta starts exactly at the version the first gravity
-        // plan is built against — the precondition for patching it.
-        grid.take_regrid_delta();
         let scratch = ScratchArena::new();
         let gravity_solver = GravitySolver::with_scratch(opts.gravity_opts, scratch.clone());
         let tuner = opts.autotune.then(|| Self::build_tuner(&opts));
@@ -485,8 +475,7 @@ impl Simulation {
         }
         // ---- Mid-run adaptive regrid (every `regrid_cadence` steps). ----
         // Runs before workspaces are ensured, so both steppers see the new
-        // topology; the delta flows to the solver inside `regrid`, so the
-        // step's gravity solve patches its plans instead of rebuilding.
+        // topology; the step's gravity solve then rebuilds its plans.
         let regrid = match self.opts.regrid_cadence {
             Some(k) if self.step_count > 0 && self.step_count.is_multiple_of(k as u64) => {
                 let _t = self.apex.timer("regrid:criterion_pass");
@@ -514,17 +503,14 @@ impl Simulation {
             self.hydro_leaves_per_task = t.current(TUNE_HYDRO).max(1);
             pipeline = t.current(TUNE_STEPPER) == 1;
         }
-        let patches_before = self.gravity_solver.plan_patch_counters();
         self.ensure_workspaces();
         let mut stats = if pipeline {
             self.step_pipelined(cluster)
         } else {
             self.step_barrier(cluster)
         };
-        let patches_after = self.gravity_solver.plan_patch_counters();
         stats.regrid_refined = regrid.refined as u64;
         stats.regrid_derefined = regrid.derefined as u64;
-        stats.gravity_plan_patched = patches_after.0 > patches_before.0;
         // ---- Online granularity tuner (observe phase). ----
         // Feed the step's windowed kernel timings back, then close the
         // windows so the next step's observation is not diluted by this
@@ -772,7 +758,6 @@ impl Simulation {
             gravity_plan_hit,
             regrid_refined: 0,
             regrid_derefined: 0,
-            gravity_plan_patched: false,
             tuner: None,
         }
     }
@@ -1098,7 +1083,6 @@ impl Simulation {
             gravity_plan_hit: self.opts.gravity && self.gravity_solver.last_plan_hit(),
             regrid_refined: 0,
             regrid_derefined: 0,
-            gravity_plan_patched: false,
             tuner: None,
         }
     }
@@ -1169,12 +1153,12 @@ impl Simulation {
     ///   polite [`DistGrid::derefine`], which refuses rather than drag
     ///   still-wanted fine neighbours coarser.
     ///
-    /// 2:1 balance is maintained throughout.  The accumulated
-    /// [`octree::RegridDelta`] is drained at the end of the pass: touched
-    /// leaves' workspaces are dropped (clean leaves keep theirs — and
-    /// their recycled kernel scratch) and the delta is deposited with the
-    /// gravity solver so the next solve *patches* its cached interaction
-    /// and halo plans subtree-locally instead of rebuilding them.
+    /// 2:1 balance is maintained throughout.  Every change bumps the
+    /// tree's `topology_version`, so the next step drops the consumed
+    /// leaves' workspaces (clean leaves keep theirs — and their recycled
+    /// kernel scratch), the next exchange re-walks the ghost payload
+    /// demand, and the next gravity solve rebuilds its interaction and
+    /// halo plans.
     pub fn regrid(&mut self, max_level: u8, threshold: f64) -> RegridOutcome {
         let shock = self.opts.regrid_shock_threshold;
         let coarsen = self.opts.regrid_coarsen_threshold;
@@ -1230,28 +1214,7 @@ impl Simulation {
         }
         hpx_rt::regrid_counters().note_refined(outcome.refined as u64);
         hpx_rt::regrid_counters().note_derefined(outcome.derefined as u64);
-        // Drain the episode's delta once: the ghost-payload demand cache is
-        // patched inside `take_regrid_delta`, the workspaces here, and the
-        // solver's plan caches on its next plan miss.
-        let delta = self.grid.take_regrid_delta();
-        self.patch_workspaces(&delta);
-        self.gravity_solver.note_regrid(delta);
         outcome
-    }
-
-    /// Subtree-local workspace invalidation: drop exactly the workspaces
-    /// whose leaves the delta consumed (refined leaves and collapsed
-    /// children); every clean leaf keeps its recycled workspace across the
-    /// regrid.  New leaves are provisioned lazily by `ensure_workspaces`.
-    fn patch_workspaces(&mut self, delta: &octree::RegridDelta) {
-        for &id in &delta.refined {
-            self.workspaces.remove(&id);
-        }
-        for &id in &delta.derefined {
-            for oct in octree::Octant::all() {
-                self.workspaces.remove(&id.child(oct));
-            }
-        }
     }
 }
 
@@ -1440,7 +1403,7 @@ mod tests {
     }
 
     #[test]
-    fn cadence_regrid_patches_gravity_plans_mid_run() {
+    fn cadence_regrid_rebuilds_gravity_plans_mid_run() {
         let cluster = SimCluster::new(1, 2);
         let sc = Scenario::build(ScenarioKind::RotatingStar, &cluster, 2, 0, 4);
         let mut opts = SimOptions::default();
@@ -1448,29 +1411,42 @@ mod tests {
         opts.omega = sc.omega;
         opts.regrid_cadence = Some(1);
         let mut sim = Simulation::new(sc.grid, opts);
-        let snap = hpx_rt::regrid_counters().snapshot();
         // Step 0 never regrids (there is nothing mid-run about it yet).
         let s0 = sim.step(&cluster);
         assert_eq!(s0.regrid_refined, 0);
-        assert!(!s0.gravity_plan_patched);
+        assert_eq!(sim.gravity_plan_counters(), (0, 1));
         // The cadence fires before step 1: the star refines, and the solve
-        // that follows must *patch* the cached interaction plan from the
-        // deposited delta (every patched plan is verified and, in debug
-        // builds, byte-compared against a from-scratch rebuild).
+        // that follows must rebuild the now-stale interaction plan.
         let s1 = sim.step(&cluster);
         assert!(s1.regrid_refined > 0, "the star should trigger refinement");
-        assert!(
-            s1.gravity_plan_patched,
-            "post-regrid solve must patch the plan, not rebuild it"
-        );
+        assert!(!s1.gravity_plan_hit);
         assert!(s1.dt > 0.0);
-        let (patches, _) = sim.gravity_solver.plan_patch_counters();
-        assert!(patches >= 1);
-        // The global counters are shared with concurrently running tests,
-        // so only lower-bound them.
-        let d = hpx_rt::regrid_counters().snapshot().since(&snap);
-        assert!(d.refined >= s1.regrid_refined);
-        assert!(d.plan_patched >= 1);
+        assert_eq!(
+            sim.gravity_plan_counters(),
+            (0, 2),
+            "post-regrid solve must rebuild the plan"
+        );
+        // The rebuilt plan yields forces bit-identical to a fresh solver's.
+        let sources = sim.leaf_sources();
+        let (f_sim, s_sim) = sim
+            .grid
+            .with_tree(|t| sim.gravity_solver.solve(t, &sources, &ExecSpace::Serial));
+        assert_eq!(sim.gravity_plan_counters(), (1, 2), "the step cached it");
+        let fresh = GravitySolver::new(sim.opts.gravity_opts);
+        let (f_fresh, s_fresh) = sim
+            .grid
+            .with_tree(|t| fresh.solve(t, &sources, &ExecSpace::Serial));
+        assert_eq!(s_sim, s_fresh);
+        assert_eq!(s1.gravity_stats, Some(s_fresh));
+        for leaf in sim.grid.leaves() {
+            let (fa, fb) = (&f_sim[&leaf], &f_fresh[&leaf]);
+            for c in 0..fa.phi.len() {
+                assert_eq!(fa.phi[c].to_bits(), fb.phi[c].to_bits());
+                assert_eq!(fa.gx[c].to_bits(), fb.gx[c].to_bits());
+                assert_eq!(fa.gy[c].to_bits(), fb.gy[c].to_bits());
+                assert_eq!(fa.gz[c].to_bits(), fb.gz[c].to_bits());
+            }
+        }
         cluster.shutdown();
     }
 

@@ -37,14 +37,14 @@
 use super::direct::{p2p_at_w, p2p_at_wide, PointMasses};
 use super::m2l_simd::{m2l_accumulate_w, m2l_accumulate_wide, MultipoleSoA};
 use super::multipole::{LocalExpansion, Multipole};
-use super::plan::{GravityPlan, PatchReport, SlotKind};
+use super::plan::{GravityPlan, SlotKind};
 use super::solver::{GravitySolver, LeafField, LeafSources, SolveStats};
 use hpx_rt::{LocalityId, ParcelClass, ParcelTransport, Runtime};
 use kokkos_rs::pool::{Recycled, ScratchArena};
 use kokkos_rs::{parallel_for_mut, ChunkSpec, ExecSpace, RangePolicy};
 use octree::NodeId;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use sve_simd::VectorMode;
 
@@ -150,168 +150,34 @@ fn freeze(map: BTreeMap<(usize, usize), Vec<usize>>) -> Vec<Exchange> {
         .collect()
 }
 
-/// `(from, to) → source index → demand count`: the halo set-unions with
-/// their multiplicities kept, so contributions can be retracted.
-type Lanes = BTreeMap<(usize, usize), BTreeMap<usize, i64>>;
-
-fn lane_add(lanes: &mut Lanes, from: usize, to: usize, idx: usize) {
-    *lanes.entry((from, to)).or_default().entry(idx).or_insert(0) += 1;
-}
-
-/// Signed lane-demand adjustments, counted per `(from, to, source)`.
-/// Negative adjustments are keyed in the *old* index domain, positive
-/// ones in the *new* — see [`DistPlan::patch`].
-type LaneRetractions = HashMap<(usize, usize, usize), i64>;
-
-/// Two-pointer merge of a dirty survivor's old source list (old indices,
-/// sorted) against its new list (new indices, sorted): `old_only(src)`
-/// fires for dropped entries, `new_only(src)` for gained ones, and
-/// matched entries fire both callbacks only when `owners_differ` says the
-/// contribution's `(from, to)` lane moved (an unchanged remote pair nets
-/// to zero and is skipped — the overwhelmingly common case).  `map` is
-/// the monotone old→new renumbering, so the mapped old list stays sorted
-/// and retired sources (`usize::MAX`) are consumed as old-only.
-fn diff_sorted_lists(
-    a: &[usize],
-    b: &[usize],
-    map: &[usize],
-    mut old_only: impl FnMut(usize),
-    mut new_only: impl FnMut(usize),
-    mut owners_differ: impl FnMut(usize, usize) -> bool,
-) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        if i < a.len() && (map[a[i]] == usize::MAX || j >= b.len()) {
-            old_only(a[i]);
-            i += 1;
-        } else if i >= a.len() {
-            new_only(b[j]);
-            j += 1;
-        } else {
-            let ma = map[a[i]];
-            match ma.cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    old_only(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    new_only(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    if owners_differ(a[i], b[j]) {
-                        old_only(a[i]);
-                        new_only(b[j]);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-}
-
-/// One streaming pass over the frozen lanes: subtract the dirty targets'
-/// retracted contributions, drop zeroed entries and emptied lanes, and
-/// renumber every surviving source index through a monotone old→new map.
-/// A surviving contribution's source must itself survive (its targets
-/// would otherwise have been retracted as dirty), so `map[idx]` is never
-/// `usize::MAX` here.  Replaces a clone + per-entry `BTreeMap` surgery +
-/// full remap — the lanes are rebuilt exactly once, from already-sorted
-/// iterators, which is what keeps a patch episode cheaper than
-/// [`DistLedger::build`]'s per-interaction inserts.
-fn lanes_patched(lanes: &Lanes, retract: &LaneRetractions, map: &[usize]) -> Lanes {
-    lanes
-        .iter()
-        .filter_map(|(&(from, to), inner)| {
-            let inner: BTreeMap<usize, i64> = inner
-                .iter()
-                .filter_map(|(&idx, &n)| {
-                    let n = n - retract.get(&(from, to, idx)).copied().unwrap_or(0);
-                    debug_assert!(n >= 0, "halo demand count went negative");
-                    if n == 0 {
-                        return None;
-                    }
-                    let ni = map[idx];
-                    debug_assert_ne!(ni, usize::MAX, "surviving halo source was removed");
-                    Some((ni, n))
-                })
-                .collect();
-            (!inner.is_empty()).then_some(((from, to), inner))
-        })
-        .collect()
-}
-
-/// Freeze count-positive lane contents into the exchange list: `BTreeMap`
-/// iteration order *is* the `(from, to)`-sorted, ascending-deduplicated
-/// order [`freeze`] produces, so a ledger-materialized halo is
-/// byte-identical to one frozen from push lists.
-fn materialize(lanes: &Lanes) -> Vec<Exchange> {
-    lanes
-        .iter()
-        .map(|(&(from, to), slots)| Exchange {
-            from,
-            to,
-            slots: slots.keys().copied().collect(),
-        })
-        .collect()
-}
-
-/// Halo demand counts for one `(plan, partition)` pair — the mutable form
-/// of [`DistPlan`]'s M2L/P2P halos.  The halos are pure set-unions over
-/// every target's source list; keeping the per-source demand *count* per
-/// lane is what makes them patchable: a regrid retracts the contributions
-/// of dirty targets (old indices, old owners), renumbers the surviving
-/// keys through the [`PatchReport`]'s monotone maps, re-adds the dirty
-/// targets' patched lists (new indices, new owners), and the
-/// count-positive keys are again exactly the fresh-build halo, byte for
-/// byte.  Cached by the solver next to the [`DistPlan`] so consecutive
-/// regrids chain patches without ever re-walking clean subtrees.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DistLedger {
-    /// `topology_version` of the plan the counts describe.
-    pub topology_version: u64,
-    /// M2L halo demand, in the slot index domain.
-    m2l: Lanes,
-    /// P2P halo demand, in the leaf index domain.
-    p2p: Lanes,
-}
-
-impl DistLedger {
-    fn add_m2l_target(&mut self, plan: &GravityPlan, slot_owner: &[usize], t: usize) {
+/// The M2L and P2P halos: per `(from, to)` lane, every source index that
+/// a target owned elsewhere reads (slot indices for M2L, leaf indices for
+/// P2P).
+fn halo_tables(
+    plan: &GravityPlan,
+    slot_owner: &[usize],
+    leaf_owner: &[usize],
+) -> (Vec<Exchange>, Vec<Exchange>) {
+    let mut m2l: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
+    for &t in &plan.m2l_targets {
         let to = slot_owner[t];
         for &src in plan.m2l_sources_of(t) {
             let from = slot_owner[src];
             if from != to {
-                lane_add(&mut self.m2l, from, to, src);
+                m2l.entry((from, to)).or_default().push(src);
             }
         }
     }
-
-    fn add_p2p_target(&mut self, plan: &GravityPlan, leaf_owner: &[usize], li: usize) {
-        let to = leaf_owner[li];
+    let mut p2p: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
+    for (li, &to) in leaf_owner.iter().enumerate() {
         for &src in plan.p2p_sources_of(li) {
             let from = leaf_owner[src];
             if from != to {
-                lane_add(&mut self.p2p, from, to, src);
+                p2p.entry((from, to)).or_default().push(src);
             }
         }
     }
-
-    /// Count every target's halo demand from scratch.
-    pub fn build(plan: &GravityPlan, slot_owner: &[usize], leaf_owner: &[usize]) -> DistLedger {
-        let mut led = DistLedger {
-            topology_version: plan.topology_version,
-            ..DistLedger::default()
-        };
-        for &t in &plan.m2l_targets {
-            led.add_m2l_target(plan, slot_owner, t);
-        }
-        for li in 0..leaf_owner.len() {
-            led.add_p2p_target(plan, leaf_owner, li);
-        }
-        led
-    }
+    (freeze(m2l), freeze(p2p))
 }
 
 /// Leaf slots inherit the partition owner; interiors their SFC-first
@@ -330,8 +196,7 @@ fn slot_owner_table(plan: &GravityPlan, leaf_owner: &[usize]) -> Vec<usize> {
     slot_owner
 }
 
-/// The cheap per-locality index tables — O(num slots) ascending sweeps,
-/// recomputed wholesale on build *and* patch (identical by construction).
+/// The per-locality index tables — O(num slots) ascending sweeps.
 #[allow(clippy::type_complexity)]
 fn locality_tables(
     plan: &GravityPlan,
@@ -358,7 +223,7 @@ fn locality_tables(
 }
 
 /// The up/down exchange schedules — one O(num slots) sweep over the
-/// parent links, also recomputed wholesale on build and patch.
+/// parent links.
 fn up_down_tables(
     plan: &GravityPlan,
     slot_owner: &[usize],
@@ -392,16 +257,6 @@ impl DistPlan {
         owner: &HashMap<NodeId, LocalityId>,
         num_localities: usize,
     ) -> DistPlan {
-        Self::build_with_ledger(plan, owner, num_localities).0
-    }
-
-    /// [`DistPlan::build`] that also returns the halo demand ledger, so
-    /// the caller can patch instead of rebuild at the next regrid.
-    pub fn build_with_ledger(
-        plan: &GravityPlan,
-        owner: &HashMap<NodeId, LocalityId>,
-        num_localities: usize,
-    ) -> (DistPlan, DistLedger) {
         assert!(num_localities > 0, "need at least one locality");
         let leaf_owner: Vec<usize> = plan.leaves.iter().map(|l| owner[l].0).collect();
         let slot_owner = slot_owner_table(plan, &leaf_owner);
@@ -409,9 +264,8 @@ impl DistPlan {
         let (owned_by_level, owned_m2l_slots, owned_leaves) =
             locality_tables(plan, &slot_owner, &leaf_owner, num_localities);
         let (up, down) = up_down_tables(plan, &slot_owner);
-        let ledger = DistLedger::build(plan, &slot_owner, &leaf_owner);
-
-        let dist = DistPlan {
+        let (m2l_halo, p2p_halo) = halo_tables(plan, &slot_owner, &leaf_owner);
+        DistPlan {
             topology_version: plan.topology_version,
             theta: plan.theta,
             num_nodes: plan.num_nodes,
@@ -422,293 +276,10 @@ impl DistPlan {
             owned_m2l_slots,
             owned_leaves,
             up,
-            m2l_halo: materialize(&ledger.m2l),
+            m2l_halo,
             down,
-            p2p_halo: materialize(&ledger.p2p),
-        };
-        (dist, ledger)
-    }
-
-    /// Patch `old` across the regrid described by `report` instead of
-    /// rebuilding it: the cheap per-slot tables (ownership, per-locality
-    /// index lists, up/down schedules) are recomputed with the exact same
-    /// O(num slots) sweeps a fresh build runs, and the expensive halo
-    /// set-unions are patched through the demand `ledger` —
-    /// retract the contributions of every dirty target under the *old*
-    /// indices and owners, renumber the surviving counts through the
-    /// report's monotone maps, re-add the dirty targets' lists under the
-    /// *new* indices and owners.  Dirty here is the union of the report's
-    /// topological dirt and the partition's: a surviving slot or leaf
-    /// whose owner moved (the SFC chunk boundaries shift with the leaf
-    /// count) dirties itself and — lists are symmetric — every target
-    /// whose halo demand mentions it.
-    ///
-    /// Returns the patched plan plus the updated ledger (so consecutive
-    /// regrids chain), or `None` when `(old, ledger, report)` do not
-    /// describe exactly the `old_plan → new_plan` transition — the caller
-    /// then falls back to [`DistPlan::build_with_ledger`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn patch(
-        old: &DistPlan,
-        ledger: &DistLedger,
-        old_plan: &GravityPlan,
-        new_plan: &GravityPlan,
-        report: &PatchReport,
-        owner: &HashMap<NodeId, LocalityId>,
-        num_localities: usize,
-    ) -> Option<(DistPlan, DistLedger)> {
-        if old.num_localities != num_localities
-            || old.topology_version != report.old_version
-            || ledger.topology_version != report.old_version
-            || old_plan.topology_version != report.old_version
-            || new_plan.topology_version != report.new_version
-            || old.theta != new_plan.theta
-            || report.slot_map.len() != old_plan.num_nodes
-            || report.leaf_map.len() != old_plan.leaves.len()
-        {
-            return None;
+            p2p_halo,
         }
-
-        let trace = std::env::var("OCTO_PATCH_TRACE").is_ok();
-        let t0 = std::time::Instant::now();
-        let leaf_owner: Vec<usize> = new_plan.leaves.iter().map(|l| owner[l].0).collect();
-        let slot_owner = slot_owner_table(new_plan, &leaf_owner);
-        debug_assert!(slot_owner.iter().all(|&o| o < num_localities));
-        let (owned_by_level, owned_m2l_slots, owned_leaves) =
-            locality_tables(new_plan, &slot_owner, &leaf_owner, num_localities);
-        let (up, down) = up_down_tables(new_plan, &slot_owner);
-        if trace {
-            eprintln!("dist-patch: tables {:?}", t0.elapsed());
-        }
-        let t1 = std::time::Instant::now();
-
-        // ---- The dirty target sets, in both index domains. -------------
-        // Topological dirt from the report, then the partition's: an
-        // owner-moved survivor, and (by list symmetry) every target whose
-        // list names one — its old partners from its old list, its new
-        // partners from its new list.  A clean target keeps its pairs, so
-        // the two partner sweeps enumerate matching old/new index sets.
-        let mut dirty_old: BTreeSet<usize> = report.retired_slots.iter().copied().collect();
-        let mut dirty_new: BTreeSet<usize> = report.dirty_slots.iter().copied().collect();
-        for os in 0..old_plan.num_nodes {
-            let ns = report.slot_map[os];
-            if ns != usize::MAX && dirty_new.contains(&ns) {
-                dirty_old.insert(os);
-            }
-        }
-        for os in 0..old_plan.num_nodes {
-            let ns = report.slot_map[os];
-            if ns == usize::MAX || old.slot_owner[os] == slot_owner[ns] {
-                continue;
-            }
-            dirty_old.insert(os);
-            dirty_new.insert(ns);
-            dirty_old.extend(old_plan.m2l_sources_of(os).iter().copied());
-            dirty_new.extend(new_plan.m2l_sources_of(ns).iter().copied());
-        }
-        let mut dirty_old_leaves: BTreeSet<usize> = report.retired_leaves.iter().copied().collect();
-        let mut dirty_new_leaves: BTreeSet<usize> = report.dirty_leaves.iter().copied().collect();
-        for ol in 0..old_plan.leaves.len() {
-            let nl = report.leaf_map[ol];
-            if nl != usize::MAX && dirty_new_leaves.contains(&nl) {
-                dirty_old_leaves.insert(ol);
-            }
-        }
-        for ol in 0..old_plan.leaves.len() {
-            let nl = report.leaf_map[ol];
-            if nl == usize::MAX || old.leaf_owner[ol] == leaf_owner[nl] {
-                continue;
-            }
-            dirty_old_leaves.insert(ol);
-            dirty_new_leaves.insert(nl);
-            dirty_old_leaves.extend(old_plan.p2p_sources_of(ol).iter().copied());
-            dirty_new_leaves.extend(new_plan.p2p_sources_of(nl).iter().copied());
-        }
-
-        if trace {
-            eprintln!(
-                "dist-patch: dirty sets {:?} (slots {}/{}, leaves {}/{})",
-                t1.elapsed(),
-                dirty_old.len(),
-                dirty_new.len(),
-                dirty_old_leaves.len(),
-                dirty_new_leaves.len()
-            );
-        }
-        let t2 = std::time::Instant::now();
-        // ---- Diff the dirty targets' lists into signed lane deltas. ----
-        // The dirty closure is wide (every M2L partner of a refined cell
-        // is "dirty" because its list changed), but each dirty survivor's
-        // list typically changed by a handful of entries.  A two-pointer
-        // merge of the (monotonically renumbered) old list against the
-        // new list touches the hash maps only for *actual* changes —
-        // retracting and re-adding whole lists would cost a rebuild.
-        // `neg` is keyed in the old index domain (applied during the
-        // renumbering pass), `pos` in the new (applied after).
-        let mut m2l_neg = LaneRetractions::new();
-        let mut m2l_pos = LaneRetractions::new();
-        let mut handled_new: BTreeSet<usize> = BTreeSet::new();
-        for &os in &dirty_old {
-            let ns = report.slot_map[os];
-            let to_old = old.slot_owner[os];
-            let a = old_plan.m2l_sources_of(os);
-            if ns == usize::MAX {
-                for &src in a {
-                    let from = old.slot_owner[src];
-                    if from != to_old {
-                        *m2l_neg.entry((from, to_old, src)).or_insert(0) += 1;
-                    }
-                }
-                continue;
-            }
-            handled_new.insert(ns);
-            let to_new = slot_owner[ns];
-            let b = new_plan.m2l_sources_of(ns);
-            diff_sorted_lists(
-                a,
-                b,
-                &report.slot_map,
-                |src| {
-                    let from = old.slot_owner[src];
-                    if from != to_old {
-                        *m2l_neg.entry((from, to_old, src)).or_insert(0) += 1;
-                    }
-                },
-                |src| {
-                    let from = slot_owner[src];
-                    if from != to_new {
-                        *m2l_pos.entry((from, to_new, src)).or_insert(0) += 1;
-                    }
-                },
-                |src_old, src_new| {
-                    (old.slot_owner[src_old], to_old) != (slot_owner[src_new], to_new)
-                },
-            );
-        }
-        for &ns in &dirty_new {
-            if handled_new.contains(&ns) {
-                continue;
-            }
-            let to = slot_owner[ns];
-            for &src in new_plan.m2l_sources_of(ns) {
-                let from = slot_owner[src];
-                if from != to {
-                    *m2l_pos.entry((from, to, src)).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut p2p_neg = LaneRetractions::new();
-        let mut p2p_pos = LaneRetractions::new();
-        let mut handled_new_leaves: BTreeSet<usize> = BTreeSet::new();
-        for &ol in &dirty_old_leaves {
-            let nl = report.leaf_map[ol];
-            let to_old = old.leaf_owner[ol];
-            let a = old_plan.p2p_sources_of(ol);
-            if nl == usize::MAX {
-                for &src in a {
-                    let from = old.leaf_owner[src];
-                    if from != to_old {
-                        *p2p_neg.entry((from, to_old, src)).or_insert(0) += 1;
-                    }
-                }
-                continue;
-            }
-            handled_new_leaves.insert(nl);
-            let to_new = leaf_owner[nl];
-            let b = new_plan.p2p_sources_of(nl);
-            diff_sorted_lists(
-                a,
-                b,
-                &report.leaf_map,
-                |src| {
-                    let from = old.leaf_owner[src];
-                    if from != to_old {
-                        *p2p_neg.entry((from, to_old, src)).or_insert(0) += 1;
-                    }
-                },
-                |src| {
-                    let from = leaf_owner[src];
-                    if from != to_new {
-                        *p2p_pos.entry((from, to_new, src)).or_insert(0) += 1;
-                    }
-                },
-                |src_old, src_new| {
-                    (old.leaf_owner[src_old], to_old) != (leaf_owner[src_new], to_new)
-                },
-            );
-        }
-        for &nl in &dirty_new_leaves {
-            if handled_new_leaves.contains(&nl) {
-                continue;
-            }
-            let to = leaf_owner[nl];
-            for &src in new_plan.p2p_sources_of(nl) {
-                let from = leaf_owner[src];
-                if from != to {
-                    *p2p_pos.entry((from, to, src)).or_insert(0) += 1;
-                }
-            }
-        }
-        if trace {
-            eprintln!(
-                "dist-patch: lane deltas {:?} (m2l -{}/+{}, p2p -{}/+{})",
-                t2.elapsed(),
-                m2l_neg.len(),
-                m2l_pos.len(),
-                p2p_neg.len(),
-                p2p_pos.len()
-            );
-        }
-        let t3 = std::time::Instant::now();
-        let mut led = DistLedger {
-            topology_version: new_plan.topology_version,
-            m2l: lanes_patched(&ledger.m2l, &m2l_neg, &report.slot_map),
-            p2p: lanes_patched(&ledger.p2p, &p2p_neg, &report.leaf_map),
-        };
-        for (&(from, to, src), &n) in &m2l_pos {
-            *led.m2l
-                .entry((from, to))
-                .or_default()
-                .entry(src)
-                .or_insert(0) += n;
-        }
-        for (&(from, to, src), &n) in &p2p_pos {
-            *led.p2p
-                .entry((from, to))
-                .or_default()
-                .entry(src)
-                .or_insert(0) += n;
-        }
-        if trace {
-            let entries: usize = led.m2l.values().map(|l| l.len()).sum::<usize>()
-                + led.p2p.values().map(|l| l.len()).sum::<usize>();
-            eprintln!(
-                "dist-patch: lanes_patched {:?} ({} entries)",
-                t3.elapsed(),
-                entries
-            );
-        }
-        let t5 = std::time::Instant::now();
-
-        let dist = DistPlan {
-            topology_version: new_plan.topology_version,
-            theta: new_plan.theta,
-            num_nodes: new_plan.num_nodes,
-            num_localities,
-            slot_owner,
-            leaf_owner,
-            owned_by_level,
-            owned_m2l_slots,
-            owned_leaves,
-            up,
-            m2l_halo: materialize(&led.m2l),
-            down,
-            p2p_halo: materialize(&led.p2p),
-        };
-        if trace {
-            eprintln!("dist-patch: materialize {:?}", t5.elapsed());
-        }
-        Some((dist, led))
     }
 
     /// The halo plan's invalidation rule: it shards exactly `plan` (same
@@ -1293,118 +864,6 @@ mod tests {
         for rt in rts {
             rt.shutdown();
         }
-    }
-
-    /// Patch the (plan, dist, ledger) triple across whatever regrid was
-    /// applied to `tree` since `old_plan` was built, and assert the
-    /// result is byte-identical to from-scratch rebuilds at every
-    /// locality count — including the owner churn from the repartition.
-    fn assert_dist_patch_matches_rebuild(old_plan: &GravityPlan, tree: &mut Tree) {
-        let delta = tree.take_regrid_delta();
-        let (new_plan, report) =
-            GravityPlan::patch(old_plan, tree, &delta, old_plan.theta).expect("delta spans");
-        let fresh_plan = GravityPlan::build(tree, old_plan.theta);
-        assert_eq!(new_plan, fresh_plan, "plan patch must match rebuild");
-        for nloc in [1usize, 2, 4, 7] {
-            // Old partition from the old plan's leaves, new from the new:
-            // the SFC chunk boundaries move, so this exercises owner churn.
-            let old_owner: HashMap<NodeId, hpx_rt::LocalityId> = {
-                let mut t_old = HashMap::new();
-                let chunk = old_plan.leaves.len().div_ceil(nloc);
-                for (i, &l) in old_plan.leaves.iter().enumerate() {
-                    t_old.insert(l, hpx_rt::LocalityId(i / chunk));
-                }
-                t_old
-            };
-            let (old_dist, ledger) = DistPlan::build_with_ledger(old_plan, &old_owner, nloc);
-            let new_owner = partition_morton(tree, nloc);
-            let (patched, patched_ledger) = DistPlan::patch(
-                &old_dist, &ledger, old_plan, &new_plan, &report, &new_owner, nloc,
-            )
-            .expect("report spans");
-            let (fresh, fresh_ledger) = DistPlan::build_with_ledger(&new_plan, &new_owner, nloc);
-            assert_eq!(
-                patched, fresh,
-                "dist patch must match rebuild (nloc={nloc})"
-            );
-            assert_eq!(
-                patched_ledger, fresh_ledger,
-                "patched ledger must chain (nloc={nloc})"
-            );
-        }
-    }
-
-    #[test]
-    fn dist_patch_matches_rebuild_after_refine() {
-        let mut tree = Tree::new_uniform(2);
-        tree.take_regrid_delta();
-        let plan = plan_for(&tree);
-        tree.refine_balanced(tree.leaves()[5]);
-        assert_dist_patch_matches_rebuild(&plan, &mut tree);
-    }
-
-    #[test]
-    fn dist_patch_matches_rebuild_after_mixed_regrid() {
-        let mut tree = Tree::new_uniform(1);
-        tree.refine_balanced(octree::NodeId::from_coords(1, [0, 0, 0]));
-        tree.refine_balanced(octree::NodeId::from_coords(2, [0, 0, 0]));
-        tree.take_regrid_delta();
-        let plan = plan_for(&tree);
-        // One episode mixing coarsening of the deep corner with new
-        // refinement elsewhere.
-        tree.derefine_balanced(octree::NodeId::from_coords(2, [0, 0, 0]));
-        tree.refine_balanced(octree::NodeId::from_coords(1, [1, 1, 1]));
-        assert_dist_patch_matches_rebuild(&plan, &mut tree);
-    }
-
-    #[test]
-    fn dist_patch_chains_across_consecutive_regrids() {
-        let mut tree = Tree::new_uniform(2);
-        tree.take_regrid_delta();
-        let plan0 = Arc::new(plan_for(&tree));
-        let owner0 = partition_morton(&tree, 4);
-        let (dist0, ledger0) = DistPlan::build_with_ledger(&plan0, &owner0, 4);
-
-        tree.refine_balanced(tree.leaves()[0]);
-        let d1 = tree.take_regrid_delta();
-        let (plan1, rep1) = GravityPlan::patch(&plan0, &tree, &d1, plan0.theta).unwrap();
-        let owner1 = partition_morton(&tree, 4);
-        let (dist1, ledger1) =
-            DistPlan::patch(&dist0, &ledger0, &plan0, &plan1, &rep1, &owner1, 4).unwrap();
-
-        tree.refine_balanced(*tree.leaves().last().unwrap());
-        let d2 = tree.take_regrid_delta();
-        let (plan2, rep2) = GravityPlan::patch(&plan1, &tree, &d2, plan1.theta).unwrap();
-        let owner2 = partition_morton(&tree, 4);
-        let (dist2, ledger2) =
-            DistPlan::patch(&dist1, &ledger1, &plan1, &plan2, &rep2, &owner2, 4).unwrap();
-
-        let (fresh, fresh_ledger) = DistPlan::build_with_ledger(&plan2, &owner2, 4);
-        assert_eq!(dist2, fresh, "second-generation patch must match rebuild");
-        assert_eq!(ledger2, fresh_ledger);
-    }
-
-    #[test]
-    fn dist_patch_refuses_mismatched_inputs() {
-        let mut tree = Tree::new_uniform(2);
-        tree.take_regrid_delta();
-        let plan = plan_for(&tree);
-        let owner = partition_morton(&tree, 2);
-        let (dist, ledger) = DistPlan::build_with_ledger(&plan, &owner, 2);
-        tree.refine_balanced(tree.leaves()[0]);
-        let delta = tree.take_regrid_delta();
-        let (new_plan, report) = GravityPlan::patch(&plan, &tree, &delta, plan.theta).unwrap();
-        let new_owner = partition_morton(&tree, 2);
-        // Wrong locality count.
-        assert!(
-            DistPlan::patch(&dist, &ledger, &plan, &new_plan, &report, &new_owner, 4).is_none()
-        );
-        // Stale old dist (patch the patched plan with the original report).
-        let (dist1, ledger1) =
-            DistPlan::patch(&dist, &ledger, &plan, &new_plan, &report, &new_owner, 2).unwrap();
-        assert!(
-            DistPlan::patch(&dist1, &ledger1, &plan, &new_plan, &report, &new_owner, 2).is_none()
-        );
     }
 
     #[test]

@@ -24,14 +24,14 @@
 //! `Mutex` traffic on the hot path.
 
 use super::direct::{p2p_at_w, p2p_at_wide, PointMasses};
-use super::dist::{DistLedger, DistPlan};
+use super::dist::DistPlan;
 use super::m2l_simd::{m2l_accumulate_w, m2l_accumulate_wide, MultipoleSoA};
 use super::multipole::{LocalExpansion, Multipole};
-use super::plan::{GravityPlan, PatchReport, SlotKind};
+use super::plan::{GravityPlan, SlotKind};
 use hpx_rt::LocalityId;
 use kokkos_rs::pool::{Recycled, ScratchArena};
 use kokkos_rs::{parallel_for_mut, ChunkSpec, ExecSpace, RangePolicy};
-use octree::{NodeId, RegridDelta, Tree};
+use octree::{NodeId, Tree};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -144,17 +144,6 @@ struct PlanCache {
     dist: Mutex<Option<Arc<DistPlan>>>,
     dist_hits: AtomicU64,
     dist_rebuilds: AtomicU64,
-    /// Regrid deltas deposited by the driver ([`GravitySolver::note_regrid`]),
-    /// merged across episodes until the next plan miss consumes them.
-    pending_delta: Mutex<Option<RegridDelta>>,
-    /// The last successful plan patch: the *old* plan plus the report, kept
-    /// so the halo plan can patch itself across the same transition.
-    last_patch: Mutex<Option<(Arc<GravityPlan>, Arc<PatchReport>)>>,
-    /// Halo demand ledger of the cached [`DistPlan`] — the mutable counts
-    /// [`DistPlan::patch`] retracts from and re-adds to.
-    dist_ledger: Mutex<Option<DistLedger>>,
-    patches: AtomicU64,
-    dist_patches: AtomicU64,
 }
 
 /// The FMM solver.
@@ -199,32 +188,10 @@ impl GravitySolver {
         self.scratch = scratch;
     }
 
-    /// Deposit the [`RegridDelta`] the driver drained from the tree after
-    /// a mid-run regrid.  Deltas from consecutive episodes merge; the next
-    /// plan miss consumes them to *patch* the cached plan subtree-locally
-    /// ([`GravityPlan::patch`]) instead of re-running the global dual-tree
-    /// traversal.  Without a deposited delta a topology change falls back
-    /// to a full rebuild, exactly as before.
-    pub fn note_regrid(&self, delta: RegridDelta) {
-        if delta.is_empty() {
-            return;
-        }
-        let mut guard = self.cache.pending_delta.lock();
-        match guard.as_mut() {
-            Some(pending) => pending.merge(delta),
-            None => *guard = Some(delta),
-        }
-    }
-
     /// The interaction plan for `tree`: the cached one when still valid
-    /// (a *plan hit* — zero traversal work); else, when the driver
-    /// deposited a spanning [`RegridDelta`], the cached plan *patched*
-    /// across it (a *plan patch* — work proportional to the dirty
-    /// subtrees); else a freshly traversed one (a *plan rebuild*).  Every
-    /// patched plan is re-checked by the static plan verifier —
-    /// unconditionally, not just in debug builds — and falls back to a
-    /// rebuild if verification fails; debug builds additionally assert the
-    /// patched plan is byte-identical to a from-scratch rebuild.
+    /// (a *plan hit* — zero traversal work), else a freshly traversed one
+    /// (a *plan rebuild*).  A regrid bumps the tree's `topology_version`,
+    /// so the first solve after it rebuilds the plan from scratch.
     pub fn plan_for(&self, tree: &Tree) -> Arc<GravityPlan> {
         let mut guard = self.cache.plan.lock();
         if let Some(plan) = guard.as_ref() {
@@ -235,40 +202,7 @@ impl GravitySolver {
                 return plan.clone();
             }
         }
-        let old = guard.clone();
-        let had_old = old.is_some();
-        // Drain the pending delta: whether it patches or not, the regrid
-        // it describes is consumed by the plan built below.
-        let delta = self.cache.pending_delta.lock().take();
-        if let (Some(old), Some(delta)) = (old, delta) {
-            if let Some((plan, report)) = GravityPlan::patch(&old, tree, &delta, self.opts.theta) {
-                let violations = super::verify::verify_gravity_plan(&plan);
-                debug_assert!(
-                    violations.is_empty(),
-                    "patched gravity plan failed static verification:\n{}",
-                    violations
-                        .iter()
-                        .map(|v| format!("  {v}"))
-                        .collect::<Vec<_>>()
-                        .join("\n")
-                );
-                #[cfg(debug_assertions)]
-                debug_assert_eq!(
-                    plan,
-                    GravityPlan::build(tree, self.opts.theta),
-                    "patched plan must be byte-identical to a rebuild"
-                );
-                if violations.is_empty() {
-                    let plan = Arc::new(plan);
-                    *self.cache.last_patch.lock() = Some((old, Arc::new(report)));
-                    self.cache.patches.fetch_add(1, Ordering::Relaxed);
-                    self.cache.last_hit.store(false, Ordering::Relaxed);
-                    hpx_rt::regrid_counters().note_plan_patched();
-                    *guard = Some(plan.clone());
-                    return plan;
-                }
-            }
-        }
+        let had_old = guard.is_some();
         let plan = Arc::new(GravityPlan::build(tree, self.opts.theta));
         // Every rebuild is statically verified in debug builds, so the
         // whole test suite exercises the plan verifier for free.
@@ -289,8 +223,7 @@ impl GravitySolver {
         self.cache.last_hit.store(false, Ordering::Relaxed);
         hpx_rt::gravity_plan_counters().note_rebuild();
         if had_old {
-            // A topology change rebuilt the plan wholesale (no spanning
-            // delta was deposited, or patching was refused).
+            // A topology change invalidated the cached plan.
             hpx_rt::regrid_counters().note_plan_rebuilt();
         }
         *guard = Some(plan.clone());
@@ -341,62 +274,8 @@ impl GravitySolver {
                 return dist.clone();
             }
         }
-        // When the interaction plan itself was patched across this exact
-        // transition, patch the halo plan through the demand ledger too —
-        // retract/re-add only the dirty targets' contributions.  The
-        // protocol verifier re-checks every patched halo plan
-        // unconditionally; failure falls back to a full rebuild.
-        let patched = (|| {
-            let old_dist = guard.as_ref()?;
-            let ledger_guard = self.cache.dist_ledger.lock();
-            let ledger = ledger_guard.as_ref()?;
-            let (old_plan, report) = self.cache.last_patch.lock().clone()?;
-            if report.new_version != plan.topology_version {
-                return None;
-            }
-            DistPlan::patch(
-                old_dist,
-                ledger,
-                &old_plan,
-                plan,
-                &report,
-                owner,
-                num_localities,
-            )
-        })();
-        if let Some((dist, ledger)) = patched {
-            let violations = super::verify::verify_dist_plan(plan, &dist);
-            debug_assert!(
-                violations.is_empty(),
-                "patched halo plan failed protocol verification:\n{}",
-                violations
-                    .iter()
-                    .map(|v| format!("  {v}"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            );
-            #[cfg(debug_assertions)]
-            {
-                let (fresh, fresh_ledger) =
-                    DistPlan::build_with_ledger(plan, owner, num_localities);
-                debug_assert_eq!(
-                    dist, fresh,
-                    "patched halo plan must be byte-identical to a rebuild"
-                );
-                debug_assert_eq!(ledger, fresh_ledger, "patched ledger must chain");
-            }
-            if violations.is_empty() {
-                let dist = Arc::new(dist);
-                *self.cache.dist_ledger.lock() = Some(ledger);
-                self.cache.dist_patches.fetch_add(1, Ordering::Relaxed);
-                hpx_rt::regrid_counters().note_plan_patched();
-                *guard = Some(dist.clone());
-                return dist;
-            }
-        }
         let had_old = guard.is_some();
-        let (dist, ledger) = DistPlan::build_with_ledger(plan, owner, num_localities);
-        let dist = Arc::new(dist);
+        let dist = Arc::new(DistPlan::build(plan, owner, num_localities));
         // Every rebuilt halo plan is protocol-verified in debug builds —
         // `tests/distributed_equivalence.rs` runs this on all its
         // N/tree/stepper combinations without any extra test code.
@@ -417,7 +296,6 @@ impl GravitySolver {
         if had_old {
             hpx_rt::regrid_counters().note_plan_rebuilt();
         }
-        *self.cache.dist_ledger.lock() = Some(ledger);
         *guard = Some(dist.clone());
         dist
     }
@@ -427,15 +305,6 @@ impl GravitySolver {
         (
             self.cache.dist_hits.load(Ordering::Relaxed),
             self.cache.dist_rebuilds.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Per-solver (interaction-plan, halo-plan) *patch* counts — plan
-    /// misses answered subtree-locally instead of by a full rebuild.
-    pub fn plan_patch_counters(&self) -> (u64, u64) {
-        (
-            self.cache.patches.load(Ordering::Relaxed),
-            self.cache.dist_patches.load(Ordering::Relaxed),
         )
     }
 
@@ -930,69 +799,6 @@ mod tests {
                 assert_eq!(fa.gx[c].to_bits(), fb.gx[c].to_bits());
             }
         }
-    }
-
-    #[test]
-    fn deposited_regrid_delta_patches_instead_of_rebuilding() {
-        let mut tree = Tree::new_uniform(2);
-        tree.take_regrid_delta();
-        let solver = GravitySolver::default();
-        let sources = make_sources(&tree, 2);
-        solver.solve(&tree, &sources, &ExecSpace::Serial);
-        let plan0 = solver.plan_for(&tree);
-        let owner0 = octree::partition_morton(&tree, 4);
-        solver.dist_plan_for(&plan0, &owner0, 4);
-        assert_eq!(solver.plan_patch_counters(), (0, 0));
-
-        // Mid-run regrid: drain the delta into the solver, then solve.
-        tree.refine_balanced(NodeId::from_coords(2, [1, 1, 1]));
-        solver.note_regrid(tree.take_regrid_delta());
-        let sources = make_sources(&tree, 2);
-        let (f_patched, s_patched) = solver.solve(&tree, &sources, &ExecSpace::Serial);
-        assert_eq!(
-            solver.plan_patch_counters().0,
-            1,
-            "the miss must be answered by a patch, not a rebuild"
-        );
-        assert_eq!(solver.plan_counters().1, 1, "no second full traversal");
-        let plan1 = solver.plan_for(&tree);
-        let owner1 = octree::partition_morton(&tree, 4);
-        solver.dist_plan_for(&plan1, &owner1, 4);
-        assert_eq!(
-            solver.plan_patch_counters(),
-            (1, 1),
-            "the halo plan must patch across the same transition"
-        );
-
-        // Patched-plan physics is bit-identical to a fresh solver's.
-        let fresh = GravitySolver::default();
-        let (f_fresh, s_fresh) = fresh.solve(&tree, &sources, &ExecSpace::Serial);
-        assert_eq!(s_patched, s_fresh);
-        for leaf in tree.leaves() {
-            let (fa, fb) = (&f_patched[&leaf], &f_fresh[&leaf]);
-            for c in 0..fa.phi.len() {
-                assert_eq!(fa.phi[c].to_bits(), fb.phi[c].to_bits());
-                assert_eq!(fa.gx[c].to_bits(), fb.gx[c].to_bits());
-                assert_eq!(fa.gy[c].to_bits(), fb.gy[c].to_bits());
-                assert_eq!(fa.gz[c].to_bits(), fb.gz[c].to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn undeposited_regrid_still_falls_back_to_a_rebuild() {
-        let mut tree = Tree::new_uniform(1);
-        tree.take_regrid_delta();
-        let solver = GravitySolver::default();
-        let sources = make_sources(&tree, 2);
-        solver.solve(&tree, &sources, &ExecSpace::Serial);
-        // Regrid without note_regrid: the delta stays in the tree, the
-        // solver sees only the version bump and must rebuild.
-        tree.refine_balanced(NodeId::from_coords(1, [0, 0, 0]));
-        let sources = make_sources(&tree, 2);
-        solver.solve(&tree, &sources, &ExecSpace::Serial);
-        assert_eq!(solver.plan_counters(), (0, 2));
-        assert_eq!(solver.plan_patch_counters(), (0, 0));
     }
 
     #[test]

@@ -2,18 +2,16 @@
 //!
 //! Two layers of evidence:
 //!
-//! * **Plan patching is exact** — over randomized refine/derefine
-//!   sequences, the incrementally patched [`GravityPlan`] / [`DistPlan`]
-//!   (and its halo ledger) are byte-identical to from-scratch rebuilds at
-//!   every episode (proptest below).
+//! * **Rebuilt plans are well-formed** — over randomized refine/derefine
+//!   sequences, the [`GravityPlan`] and [`DistPlan`] rebuilt after every
+//!   episode pass the static plan and protocol verifiers (proptest below).
 //! * **Physics is unchanged by distribution and width** — a 10-step run
 //!   with cadence-driven regridding (both refine and coarsen firing) is
 //!   bit-identical across 1 vs 4 simulated localities and scalar vs SVE
-//!   vector modes.  The debug-build solver additionally byte-compares every
-//!   patched plan against a rebuild inside these runs.
+//!   vector modes.
 
 use hpx_rt::SimCluster;
-use octotiger::gravity::{DistPlan, GravityPlan};
+use octotiger::gravity::{verify_dist_plan, verify_gravity_plan, DistPlan, GravityPlan};
 use octotiger::{Scenario, ScenarioKind, SimOptions, Simulation, NF};
 use octree::{partition_morton, NodeId, Tree};
 use proptest::prelude::*;
@@ -23,68 +21,47 @@ const THETA: f64 = 0.5;
 
 proptest! {
     // Each case replays a whole multi-episode regrid history, so the
-    // default case count covers hundreds of patch episodes.
+    // default case count covers hundreds of regrid episodes.
     #[test]
-    fn random_regrid_patches_match_rebuilds(
+    fn random_regrid_rebuilt_plans_verify(
         seq in prop::collection::vec((0usize..4096, any::<bool>()), 1..10),
     ) {
         const NLOC: usize = 4;
         let mut tree = Tree::new_uniform(2);
-        tree.take_regrid_delta();
-        let mut plan = GravityPlan::build(&tree, THETA);
-        let mut owner = partition_morton(&tree, NLOC);
-        let (mut dist, mut ledger) = DistPlan::build_with_ledger(&plan, &owner, NLOC);
         for (s, deref) in seq {
+            let version = tree.topology_version();
+            let leaves = tree.leaves();
+            let pick = leaves[s % leaves.len()];
             if deref {
                 // Collapse a random leaf's parent octet (dragging finer
                 // neighbours coarser as needed); may refuse entirely.
-                let leaves = tree.leaves();
-                let pick = leaves[s % leaves.len()];
                 if let Some(parent) = pick.parent() {
                     tree.derefine_balanced(parent);
                 }
-            } else {
-                let leaves = tree.leaves();
-                let pick = leaves[s % leaves.len()];
-                if pick.level() < 4 {
-                    tree.refine_balanced(pick);
-                }
+            } else if pick.level() < 4 {
+                tree.refine_balanced(pick);
             }
             prop_assert!(tree.check_invariants().is_ok());
-            let delta = tree.take_regrid_delta();
-            if delta.is_empty() {
+            if tree.topology_version() == version {
                 continue;
             }
-            let (new_plan, report) = GravityPlan::patch(&plan, &tree, &delta, THETA)
-                .expect("a spanning delta must patch");
-            let fresh = GravityPlan::build(&tree, THETA);
-            prop_assert_eq!(&new_plan, &fresh, "patched GravityPlan differs from a rebuild");
-            let new_owner = partition_morton(&tree, NLOC);
-            let (pd, pl) =
-                DistPlan::patch(&dist, &ledger, &plan, &new_plan, &report, &new_owner, NLOC)
-                    .expect("a consistent report must patch the halo plan");
-            let (fd, fl) = DistPlan::build_with_ledger(&new_plan, &new_owner, NLOC);
-            prop_assert_eq!(&pd, &fd, "patched DistPlan differs from a rebuild");
-            prop_assert_eq!(&pl, &fl, "patched DistLedger differs from a rebuild");
-            plan = new_plan;
-            dist = pd;
-            ledger = pl;
-            owner = new_owner;
+            let plan = GravityPlan::build(&tree, THETA);
+            prop_assert_eq!(verify_gravity_plan(&plan), vec![]);
+            let dist = DistPlan::build(&plan, &partition_morton(&tree, NLOC), NLOC);
+            prop_assert_eq!(verify_dist_plan(&plan, &dist), vec![]);
         }
-        let _ = owner;
     }
 }
 
 /// What [`adaptive_run`] fingerprints: the Δt bit sequence, the final
-/// per-leaf state bits, and whether any step actually patched a plan.
+/// per-leaf state bits, and whether the run regridded mid-run.
 type RunFingerprint = (Vec<u64>, Vec<(NodeId, Vec<u64>)>, bool);
 
 /// One adaptive run: 10 steps, regrid every 3rd, refine on the star and
 /// coarsen the far-field floor.
 fn adaptive_run(localities: usize, mode: VectorMode) -> RunFingerprint {
     let cluster = SimCluster::new(4, 2);
-    // Level 1 base kept deliberately small: 10 steps × 4 configurations,
-    // and every patched plan is byte-compared against a rebuild in debug.
+    // Level 1 base kept deliberately small: 10 steps × 4 configurations.
     let sc = Scenario::build(ScenarioKind::RotatingStar, &cluster, 1, 0, 4);
     let mut opts = SimOptions::default();
     opts.gravity = true;
@@ -96,13 +73,16 @@ fn adaptive_run(localities: usize, mode: VectorMode) -> RunFingerprint {
     opts.regrid_refine_threshold = 1.0;
     opts.regrid_coarsen_threshold = 1e-8;
     let mut sim = Simulation::new(sc.grid, opts);
+    let leaves_before = sim.grid.leaves().len();
+    let mut resized = false;
     let mut dts = Vec::new();
-    let mut patched = false;
     for _ in 0..10 {
         let s = sim.step(&cluster);
-        patched |= s.gravity_plan_patched;
         dts.push(s.dt.to_bits());
+        resized |= sim.grid.leaves().len() != leaves_before;
     }
+    // Step 0 builds the plan; a mid-run regrid forces at least one rebuild.
+    let regridded = resized && sim.gravity_plan_counters().1 > 1;
     let mut leaves = sim.grid.leaves();
     leaves.sort();
     let state = leaves
@@ -118,16 +98,13 @@ fn adaptive_run(localities: usize, mode: VectorMode) -> RunFingerprint {
         })
         .collect();
     cluster.shutdown();
-    (dts, state, patched)
+    (dts, state, regridded)
 }
 
 #[test]
 fn adaptive_runs_bit_identical_across_localities_and_widths() {
-    let (base_dts, base_state, base_patched) = adaptive_run(1, VectorMode::Scalar);
-    assert!(
-        base_patched,
-        "the adaptive run must actually exercise plan patching"
-    );
+    let (base_dts, base_state, base_regridded) = adaptive_run(1, VectorMode::Scalar);
+    assert!(base_regridded, "the adaptive run must regrid mid-run");
     for (nloc, mode) in [
         (4, VectorMode::Scalar),
         (1, VectorMode::Sve512),

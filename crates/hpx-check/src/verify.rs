@@ -27,7 +27,6 @@ use octotiger::gravity::{
     ProtocolViolation,
 };
 use octree::{partition_morton, verify_partition, Tree};
-use std::collections::HashSet;
 
 /// The locality counts every scenario is sharded over.  1 is the
 /// degenerate no-communication case; 7 does not divide any uniform leaf
@@ -387,99 +386,6 @@ pub fn mutation_sweep(level: u8, seed: u64) -> Result<usize, Vec<MissedMutation>
     }
 }
 
-/// A planted *stale subtree cache* bug and what the verifier said about
-/// it: a halo plan that was incrementally patched across a regrid, minus
-/// one dirtied slot's delivery — exactly the lane entry a broken
-/// incremental invalidation would fail to re-add.
-#[derive(Debug)]
-pub struct StalePatchProbe {
-    /// What was planted (for reports).
-    pub description: String,
-    /// Phase of the dropped delivery.
-    pub phase: Phase,
-    /// The dirtied slot whose delivery went missing.
-    pub slot: usize,
-    /// What `verify_dist_plan` reported on the broken plan.
-    pub violations: Vec<ProtocolViolation>,
-}
-
-impl StalePatchProbe {
-    /// Did the starvation/demand check name exactly the dropped delivery?
-    /// (Any other report — or silence — means the stale cache would have
-    /// sailed into a real deadlock.)
-    pub fn caught(&self) -> bool {
-        self.violations.iter().any(|v| {
-            matches!(v, ProtocolViolation::StarvedReceive { phase, slot, .. }
-                if *phase == self.phase && *slot == self.slot)
-        })
-    }
-}
-
-/// Build the stale-patch probe for one `(nloc, seed)`: regrid a seed-picked
-/// leaf of the uniform `level` tree, patch the halo plan incrementally
-/// through the demand ledger (the production path — the patched plan is
-/// byte-identical to a rebuild), then drop one delivery of a slot the
-/// [`octotiger::gravity::PatchReport`] marked dirty.  Returns `None` when
-/// no dirtied slot happens to cross localities for this pick.
-pub fn stale_patch_probe(level: u8, nloc: usize, seed: u64) -> Option<StalePatchProbe> {
-    let mut tree = Tree::new_uniform(level.max(1));
-    tree.take_regrid_delta();
-    let old_plan = GravityPlan::build(&tree, 0.5);
-    let old_owner = partition_morton(&tree, nloc);
-    let (old_dist, ledger) = DistPlan::build_with_ledger(&old_plan, &old_owner, nloc);
-    let mut rng = Lcg::new(seed);
-    let leaves = tree.leaves();
-    tree.refine_balanced(leaves[rng.pick(leaves.len())]);
-    let delta = tree.take_regrid_delta();
-    let (new_plan, report) = GravityPlan::patch(&old_plan, &tree, &delta, 0.5)
-        .expect("a freshly drained delta spans the plan");
-    let new_owner = partition_morton(&tree, nloc);
-    let (patched, _) = DistPlan::patch(
-        &old_dist, &ledger, &old_plan, &new_plan, &report, &new_owner, nloc,
-    )
-    .expect("a consistent report patches the halo plan");
-    let dirty: HashSet<usize> = report.dirty_slots.iter().copied().collect();
-    let mut broken = patched;
-    let mut target = None;
-    'outer: for (li, lane) in broken.m2l_halo.iter().enumerate() {
-        for (si, &slot) in lane.slots.iter().enumerate() {
-            if dirty.contains(&slot) {
-                target = Some((li, si, slot, lane.from, lane.to));
-                break 'outer;
-            }
-        }
-    }
-    let (li, si, slot, from, to) = target?;
-    broken.m2l_halo[li].slots.remove(si);
-    if broken.m2l_halo[li].slots.is_empty() {
-        broken.m2l_halo.remove(li);
-    }
-    let violations = verify_dist_plan(&new_plan, &broken);
-    Some(StalePatchProbe {
-        description: format!(
-            "patched halo plan missing dirtied slot {slot}'s delivery {from}→{to} (N={nloc})"
-        ),
-        phase: Phase::M2lHalo,
-        slot,
-        violations,
-    })
-}
-
-/// Scan locality counts and nearby seeds until a stale-patch probe
-/// materializes (a dirtied slot must cross localities, which depends on
-/// which leaf the seed picks).  The standard scenarios always yield one
-/// within a few tries.
-pub fn find_stale_patch_probe(level: u8, seed: u64) -> Option<StalePatchProbe> {
-    for &nloc in MUTATION_LOCALITY_COUNTS {
-        for attempt in 0..8 {
-            if let Some(probe) = stale_patch_probe(level, nloc, seed.wrapping_add(attempt)) {
-                return Some(probe);
-            }
-        }
-    }
-    None
-}
-
 /// Convenience for tests: the violations a single mutation produces on
 /// the standard uniform(2) scenario at `nloc` localities.
 pub fn violations_for_mutation(
@@ -502,20 +408,6 @@ mod tests {
     #[test]
     fn real_plans_verify_silently() {
         assert_eq!(verify_real_plans(2), Vec::<String>::new());
-    }
-
-    #[test]
-    fn stale_patch_probe_is_caught_by_the_starvation_check() {
-        for seed in [1u64, 7, 42] {
-            let probe = find_stale_patch_probe(2, seed)
-                .expect("the standard scenario must yield a cross-locality dirty slot");
-            assert!(
-                probe.caught(),
-                "seed {seed}: {} not caught; got: {:?}",
-                probe.description,
-                probe.violations
-            );
-        }
     }
 
     #[test]

@@ -359,22 +359,17 @@ impl std::fmt::Display for GravityPlanSnapshot {
 // ---------------------------------------------------------------------
 
 /// Process-wide counters of mid-run adaptive regridding, exported in HPX
-/// counter style as `/octotiger/regrid/{refined,derefined,plan-patched,
-/// plan-rebuilt}`.  The driver bumps `refined`/`derefined` once per leaf
-/// changed by a criterion pass; the plan caches bump `plan-patched` every
-/// time a regrid was absorbed by a subtree-local patch (interaction *or*
-/// halo plan) and `plan-rebuilt` every time a topology change forced a
-/// wholesale rebuild instead — the ratio is the observable payoff of
-/// incremental invalidation.
+/// counter style as `/octotiger/regrid/{refined,derefined,plan-rebuilt}`.
+/// The driver bumps `refined`/`derefined` once per leaf changed by a
+/// criterion pass; the plan caches bump `plan-rebuilt` every time a
+/// topology change forced a rebuild of a cached interaction or halo plan.
 #[derive(Debug, Default)]
 pub struct RegridCounters {
     /// Leaves refined by criterion regrids.
     pub refined: AtomicU64,
     /// Interior nodes collapsed back into leaves by criterion regrids.
     pub derefined: AtomicU64,
-    /// Cached plans patched subtree-locally across a regrid.
-    pub plan_patched: AtomicU64,
-    /// Cached plans rebuilt wholesale after a topology change.
+    /// Cached plans rebuilt after a topology change.
     pub plan_rebuilt: AtomicU64,
 }
 
@@ -389,12 +384,7 @@ impl RegridCounters {
         self.derefined.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record a plan answered by a subtree-local patch.
-    pub fn note_plan_patched(&self) {
-        Counters::bump(&self.plan_patched);
-    }
-
-    /// Record a plan rebuilt wholesale after a topology change.
+    /// Record a plan rebuilt after a topology change.
     pub fn note_plan_rebuilt(&self) {
         Counters::bump(&self.plan_rebuilt);
     }
@@ -404,16 +394,15 @@ impl RegridCounters {
         RegridSnapshot {
             refined: self.refined.load(Ordering::Relaxed),
             derefined: self.derefined.load(Ordering::Relaxed),
-            plan_patched: self.plan_patched.load(Ordering::Relaxed),
+            plan_patched: 0,
             plan_rebuilt: self.plan_rebuilt.load(Ordering::Relaxed),
         }
     }
 
-    /// Reset all four counters (HPX's `reset_active_counters`).
+    /// Reset all three counters (HPX's `reset_active_counters`).
     pub fn reset(&self) {
         self.refined.store(0, Ordering::Relaxed);
         self.derefined.store(0, Ordering::Relaxed);
-        self.plan_patched.store(0, Ordering::Relaxed);
         self.plan_rebuilt.store(0, Ordering::Relaxed);
     }
 }
@@ -424,7 +413,6 @@ pub fn regrid_counters() -> &'static RegridCounters {
     static GLOBAL: RegridCounters = RegridCounters {
         refined: AtomicU64::new(0),
         derefined: AtomicU64::new(0),
-        plan_patched: AtomicU64::new(0),
         plan_rebuilt: AtomicU64::new(0),
     };
     &GLOBAL
@@ -435,6 +423,8 @@ pub fn regrid_counters() -> &'static RegridCounters {
 pub struct RegridSnapshot {
     pub refined: u64,
     pub derefined: u64,
+    /// Always 0: plans are rebuilt on every regrid.  Kept only because the
+    /// frozen benchmark (`perfbench/`) reads it.
     pub plan_patched: u64,
     pub plan_rebuilt: u64,
 }
@@ -445,7 +435,7 @@ impl RegridSnapshot {
         RegridSnapshot {
             refined: self.refined.saturating_sub(earlier.refined),
             derefined: self.derefined.saturating_sub(earlier.derefined),
-            plan_patched: self.plan_patched.saturating_sub(earlier.plan_patched),
+            plan_patched: 0,
             plan_rebuilt: self.plan_rebuilt.saturating_sub(earlier.plan_rebuilt),
         }
     }
@@ -455,7 +445,6 @@ impl std::fmt::Display for RegridSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "/octotiger/regrid/refined        {}", self.refined)?;
         writeln!(f, "/octotiger/regrid/derefined      {}", self.derefined)?;
-        writeln!(f, "/octotiger/regrid/plan-patched   {}", self.plan_patched)?;
         write!(f, "/octotiger/regrid/plan-rebuilt   {}", self.plan_rebuilt)
     }
 }
@@ -906,18 +895,14 @@ mod tests {
         let c = RegridCounters::default();
         c.note_refined(5);
         c.note_derefined(2);
-        c.note_plan_patched();
-        c.note_plan_patched();
         c.note_plan_rebuilt();
         let s = c.snapshot();
         assert_eq!(s.refined, 5);
         assert_eq!(s.derefined, 2);
-        assert_eq!(s.plan_patched, 2);
         assert_eq!(s.plan_rebuilt, 1);
         let text = format!("{s}");
         assert!(text.contains("/octotiger/regrid/refined"));
         assert!(text.contains("/octotiger/regrid/derefined"));
-        assert!(text.contains("/octotiger/regrid/plan-patched"));
         assert!(text.contains("/octotiger/regrid/plan-rebuilt"));
         c.reset();
         assert_eq!(c.snapshot(), RegridSnapshot::default());
@@ -927,18 +912,16 @@ mod tests {
     fn regrid_snapshot_deltas_saturate() {
         let a = RegridSnapshot {
             refined: 3,
-            plan_patched: 1,
             ..Default::default()
         };
         let b = RegridSnapshot {
             refined: 8,
             derefined: 2,
-            plan_patched: 4,
             plan_rebuilt: 1,
+            ..Default::default()
         };
         let d = b.since(&a);
-        assert_eq!((d.refined, d.derefined), (5, 2));
-        assert_eq!((d.plan_patched, d.plan_rebuilt), (3, 1));
+        assert_eq!((d.refined, d.derefined, d.plan_rebuilt), (5, 2, 1));
         assert_eq!(a.since(&b), RegridSnapshot::default());
     }
 

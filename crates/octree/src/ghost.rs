@@ -27,7 +27,7 @@
 use crate::index::{Dir, NodeId};
 use crate::partition::partition_morton;
 use crate::subgrid::SubGrid;
-use crate::tree::{Neighbor, RegridDelta, Tree};
+use crate::tree::{Neighbor, Tree};
 use hpx_rt::locality::{downcast_payload, ArcPayload};
 use hpx_rt::{LocalityId, SimCluster};
 use kokkos_rs::pool::{BufferPool, Recycled};
@@ -119,11 +119,9 @@ struct DistGridInner {
     /// first exchange warms it up, packing allocates nothing.
     pool: BufferPool<f64>,
     /// Cached per-bucket payload demand of the current topology
-    /// (`topology_version` → `bucket → count`), patched leaf-locally from
-    /// [`RegridDelta`]s instead of re-walked every exchange.  Counts are
-    /// signed only because patch arithmetic may pass through transients;
-    /// the settled demand is non-negative.
-    payload_demand: parking_lot::Mutex<Option<(u64, HashMap<usize, i64>)>>,
+    /// (`topology_version` → `bucket → count`), re-walked only when a
+    /// regrid bumps the version instead of every exchange.
+    payload_demand: parking_lot::Mutex<Option<(u64, HashMap<usize, usize>)>>,
 }
 
 /// A distributed AMR grid: a [`Tree`] whose leaves carry [`SubGrid`]s
@@ -295,67 +293,6 @@ impl DistGrid {
         }
     }
 
-    /// Drain the tree's accumulated [`RegridDelta`], patching the payload
-    /// demand cache across it first so the next exchange's pool prewarm
-    /// stays tree-walk-free.  The caller hands the delta on to whatever
-    /// plan caches need invalidating (e.g. the gravity solver).
-    pub fn take_regrid_delta(&self) -> RegridDelta {
-        let delta = self.inner.tree.write().take_regrid_delta();
-        self.patch_payload_demand(&delta);
-        delta
-    }
-
-    /// One leaf's contribution to the payload-demand map: one buffer per
-    /// non-boundary direction, bucketed by the receive box's element
-    /// count.  Boundary-ness is a pure function of the leaf's coordinates
-    /// (no tree access), which is what makes the demand patchable from a
-    /// [`RegridDelta`] alone.
-    fn fold_leaf_demand(&self, demand: &mut HashMap<usize, i64>, leaf: NodeId, sign: i64) {
-        for dir in Dir::all26() {
-            if leaf.neighbor(dir).is_none() {
-                continue; // domain boundary: outflow, no payload
-            }
-            let cells =
-                SubGrid::box_cells(&SubGrid::recv_box_of(self.inner.n, self.inner.ghost, dir));
-            *demand.entry(self.inner.nfields * cells).or_default() += sign;
-        }
-    }
-
-    /// Patch the cached payload demand across `delta` (leaf-locally: one
-    /// refined leaf retracts its 26 links and adds its children's, a
-    /// derefine the reverse) instead of invalidating it.  Falls back to
-    /// dropping the cache when the delta does not span the cached version
-    /// — the next exchange then re-walks the tree once.
-    fn patch_payload_demand(&self, delta: &RegridDelta) {
-        let mut guard = self.inner.payload_demand.lock();
-        let Some((version, demand)) = guard.as_mut() else {
-            return;
-        };
-        let current = self.inner.tree.read().topology_version();
-        if *version == current {
-            return;
-        }
-        if !delta.spans(*version, current) {
-            *guard = None;
-            return;
-        }
-        // Refine/derefine contributions are additive counts, so applying
-        // the two op lists out of interleaving order nets the same map.
-        for &id in &delta.refined {
-            self.fold_leaf_demand(demand, id, -1);
-            for oct in crate::index::Octant::all() {
-                self.fold_leaf_demand(demand, id.child(oct), 1);
-            }
-        }
-        for &id in &delta.derefined {
-            for oct in crate::index::Octant::all() {
-                self.fold_leaf_demand(demand, id.child(oct), -1);
-            }
-            self.fold_leaf_demand(demand, id, 1);
-        }
-        *version = current;
-    }
-
     /// Top up the payload arena to this topology's exact per-bucket link
     /// demand (one buffer per non-boundary link, bucketed by the receive
     /// box's cell count) before an exchange fans out.
@@ -368,28 +305,35 @@ impl DistGrid {
     /// allocation-free deterministically: after the first exchange the
     /// top-up is a no-op and every checkout is a hit.
     ///
-    /// The demand map is cached per `topology_version` and patched
-    /// leaf-locally across regrids ([`DistGrid::take_regrid_delta`]), so
-    /// the steady state also stops re-walking the tree every exchange.
+    /// The demand map is cached per `topology_version`, so the steady
+    /// state walks the tree once per regrid, not once per exchange.
     fn prewarm_payload_pool(&self) {
         let mut guard = self.inner.payload_demand.lock();
         let current = self.inner.tree.read().topology_version();
         let demand = match guard.as_ref() {
             Some((version, demand)) if *version == current => demand,
-            _ => {
-                let mut demand: HashMap<usize, i64> = HashMap::new();
-                for &leaf in &self.inner.tree.read().leaves() {
-                    self.fold_leaf_demand(&mut demand, leaf, 1);
-                }
-                &guard.insert((current, demand)).1
-            }
+            _ => &guard.insert((current, self.walk_payload_demand())).1,
         };
         for (&bucket, &count) in demand {
-            debug_assert!(count >= 0, "settled payload demand must be non-negative");
-            if count > 0 {
-                self.inner.pool.prewarm(bucket, count as usize);
+            self.inner.pool.prewarm(bucket, count);
+        }
+    }
+
+    /// Per-bucket payload demand of the current topology: one buffer per
+    /// non-boundary link, bucketed by the receive box's element count.
+    fn walk_payload_demand(&self) -> HashMap<usize, usize> {
+        let mut demand = HashMap::new();
+        for leaf in self.inner.tree.read().leaves() {
+            for dir in Dir::all26() {
+                if leaf.neighbor(dir).is_none() {
+                    continue; // domain boundary: outflow, no payload
+                }
+                let cells =
+                    SubGrid::box_cells(&SubGrid::recv_box_of(self.inner.n, self.inner.ghost, dir));
+                *demand.entry(self.inner.nfields * cells).or_default() += 1;
             }
         }
+        demand
     }
 
     /// Fill every leaf's ghost shells: interior data from neighbours
@@ -1096,72 +1040,41 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// Full-walk payload demand, the reference the patched cache must match.
-    fn walked_demand(dg: &DistGrid) -> HashMap<usize, i64> {
-        let mut demand = HashMap::new();
-        for leaf in dg.leaves() {
-            dg.fold_leaf_demand(&mut demand, leaf, 1);
-        }
-        demand.retain(|_, c| *c != 0);
-        demand
-    }
-
     #[test]
-    fn payload_demand_cache_patches_across_regrids() {
+    fn payload_demand_cache_refreshes_across_regrids() {
         let cluster = SimCluster::new(1, 1);
         let dg = DistGrid::new(Tree::new_uniform(2), 4, 2, 3, &cluster);
         fill_linear(&dg);
-        dg.take_regrid_delta(); // drain the seed delta
         dg.exchange_ghosts(&cluster, GhostConfig::default()); // populates the cache
 
-        // A mixed episode: refine one corner, round-trip another so the
-        // patch exercises both the refine and derefine arithmetic.
+        // A mixed episode: refine one corner, round-trip another.
         dg.refine_balanced(NodeId::from_coords(2, [0, 0, 0]));
         dg.refine_balanced(NodeId::from_coords(2, [3, 3, 3]));
         dg.derefine_balanced(NodeId::from_coords(2, [3, 3, 3]));
-        let delta = dg.take_regrid_delta(); // patches the cache leaf-locally
-        assert!(!delta.is_empty());
+        dg.exchange_ghosts(&cluster, GhostConfig::default()); // re-walks once
 
-        let cached = {
-            let guard = dg.inner.payload_demand.lock();
-            let (version, demand) = guard.as_ref().expect("cache survived the patch");
-            assert_eq!(*version, dg.topology_version());
-            let mut demand = demand.clone();
-            demand.retain(|_, c| *c != 0);
-            demand
-        };
-        assert_eq!(cached, walked_demand(&dg));
+        // The cache now holds the new topology's full-walk demand, which is
+        // one payload per non-boundary link of the refined tree.
+        let (version, cached) = dg
+            .inner
+            .payload_demand
+            .lock()
+            .clone()
+            .expect("the exchange refreshed the cache");
+        assert_eq!(version, dg.topology_version());
+        assert_eq!(cached, dg.walk_payload_demand());
+        let links: usize = dg
+            .leaves()
+            .iter()
+            .map(|l| Dir::all26().filter(|&d| l.neighbor(d).is_some()).count())
+            .sum();
+        assert_eq!(cached.values().sum::<usize>(), links);
 
-        // And the next exchange runs off the patched cache without panicking.
+        // The refreshed prewarm covers the new demand, so the next
+        // exchange checks every payload out of the pool.
+        let misses = dg.scratch().stats().misses;
         dg.exchange_ghosts(&cluster, GhostConfig::default());
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn unseen_regrid_invalidates_payload_demand_cache() {
-        let cluster = SimCluster::new(1, 1);
-        let dg = DistGrid::new(Tree::new_uniform(1), 4, 2, 1, &cluster);
-        fill_linear(&dg);
-        dg.take_regrid_delta();
-        dg.exchange_ghosts(&cluster, GhostConfig::default());
-
-        // Regrid, then prewarm again WITHOUT draining: the cache version is
-        // stale, so the walk refreshes it in place.
-        dg.refine_balanced(NodeId::from_coords(1, [0, 1, 0]));
-        dg.exchange_ghosts(&cluster, GhostConfig::default());
-        {
-            let guard = dg.inner.payload_demand.lock();
-            let (version, demand) = guard.as_ref().expect("walk refreshed the cache");
-            assert_eq!(*version, dg.topology_version());
-            let mut demand = demand.clone();
-            demand.retain(|_, c| *c != 0);
-            assert_eq!(demand, walked_demand(&dg));
-        }
-
-        // The pending delta no longer spans the cached (current) version's
-        // start, but versions now match, so draining keeps the cache.
-        dg.take_regrid_delta();
-        assert!(dg.inner.payload_demand.lock().is_some());
+        assert_eq!(dg.scratch().stats().misses, misses);
         cluster.shutdown();
     }
 

@@ -40,4 +40,4 @@ pub use partition::{
 };
 pub use shard::{Shard, ShardMap};
 pub use subgrid::SubGrid;
-pub use tree::{Neighbor, RegridDelta, Tree};
+pub use tree::{Neighbor, Tree};
