@@ -13,12 +13,13 @@
 
 use crate::diag::ConservationLedger;
 use crate::gravity::direct::PointMasses;
+use crate::gravity::solver::SolveStats;
 use crate::gravity::{GravityOptions, GravitySolver, LeafField, LeafSources};
 use crate::hydro::{self, HydroOptions, SourceInput};
 use crate::state::field;
 use crate::units::BOX_SIZE;
 use crate::workspace::{self, LeafWorkspace};
-use hpx_rt::{Future, SimCluster};
+use hpx_rt::{Apex, Future, SimCluster};
 use kokkos_rs::pool::ScratchArena;
 use kokkos_rs::ExecSpace;
 use octree::{DistGrid, GhostConfig, NodeId};
@@ -26,6 +27,39 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use sve_simd::VectorMode;
+
+/// One execution space per gravity locality: the `localities` option
+/// clamped to the cluster, at least one.
+fn locality_spaces(cluster: &SimCluster, localities: usize) -> Vec<ExecSpace> {
+    (0..localities.min(cluster.num_localities()).max(1))
+        .map(|i| ExecSpace::hpx(cluster.locality(i).runtime().clone()))
+        .collect()
+}
+
+/// The step's gravity work, sharded over one locality per space.  Plan
+/// acquisition — the interaction plan, the Morton partition and the halo
+/// plan, all cache hits on an unchanged tree — and the kernels are timed
+/// separately (`gravity:plan`, `gravity:kernels`), so the apex report
+/// shows what caching actually saves.
+fn solve_gravity(
+    apex: &Apex,
+    grid: &DistGrid,
+    solver: &GravitySolver,
+    sources: &HashMap<NodeId, LeafSources>,
+    spaces: &[ExecSpace],
+) -> (HashMap<NodeId, LeafField>, SolveStats) {
+    let (plan, dist) = {
+        let _p = apex.timer("gravity:plan");
+        grid.with_tree(|t| {
+            let plan = solver.plan_for(t);
+            let owner = octree::partition_morton(t, spaces.len());
+            let dist = solver.dist_plan_for(&plan, &owner, spaces.len());
+            (plan, dist)
+        })
+    };
+    let _k = apex.timer("gravity:kernels");
+    solver.solve_sharded(&plan, &dist, sources, spaces)
+}
 
 /// Shared handle to the per-leaf workspace table, cloned into stage tasks.
 type WorkspaceMap = Arc<HashMap<NodeId, Arc<parking_lot::Mutex<LeafWorkspace>>>>;
@@ -559,34 +593,15 @@ impl Simulation {
         // ---- Gravity (once per step; reused across RK stages). ---------
         let gravity_fields: Option<Arc<HashMap<NodeId, LeafField>>> = if self.opts.gravity {
             let _t = self.apex.timer("gravity:solve");
-            let sources = Arc::new(self.leaf_sources());
-            let solver = &self.gravity_solver;
-            let nloc = self.opts.localities.min(cluster.num_localities()).max(1);
-            let space = ExecSpace::hpx(cluster.locality(0).runtime().clone());
-            // Plan acquisition (cache hit: no traversal) and the dense
-            // kernels are timed separately, so the apex report shows what
-            // caching actually saves.
-            let plan = {
-                let _p = self.apex.timer("gravity:plan");
-                self.grid.with_tree(|t| solver.plan_for(t))
-            };
-            let (fields, stats) = {
-                let _k = self.apex.timer("gravity:kernels");
-                if nloc > 1 {
-                    // Shard the solve: the halo plan caches alongside the
-                    // interaction plan, keyed on the same topology version.
-                    let dist = {
-                        let owner = self.grid.with_tree(|t| octree::partition_morton(t, nloc));
-                        solver.dist_plan_for(&plan, &owner, nloc)
-                    };
-                    let rts: Vec<hpx_rt::Runtime> = (0..nloc)
-                        .map(|i| cluster.locality(i).runtime().clone())
-                        .collect();
-                    solver.solve_distributed(&plan, &dist, &sources, &rts)
-                } else {
-                    solver.solve_with_plan(&plan, &sources, &space)
-                }
-            };
+            let sources = self.leaf_sources();
+            let spaces = locality_spaces(cluster, self.opts.localities);
+            let (fields, stats) = solve_gravity(
+                &self.apex,
+                &self.grid,
+                &self.gravity_solver,
+                &sources,
+                &spaces,
+            );
             kernel_launches += stats.multipole_kernel_launches as u64 + leaves.len() as u64;
             self.last_gravity_stats = Some(stats);
             Some(Arc::new(fields))
@@ -795,44 +810,21 @@ impl Simulation {
         // ---- Gravity as a future (overlaps the stage-0 ghost fill). -----
         // Sources are gathered synchronously from uⁿ; nothing writes until
         // the stage-0 gates open, and those include this future's ticket.
-        type GravityResult = (
-            Arc<HashMap<NodeId, LeafField>>,
-            crate::gravity::solver::SolveStats,
-        );
+        type GravityResult = (Arc<HashMap<NodeId, LeafField>>, SolveStats);
         let gravity_fut: Option<Future<GravityResult>> = if self.opts.gravity {
-            let sources = Arc::new(self.leaf_sources());
+            let sources = self.leaf_sources();
             // The clone shares the persistent solver's plan cache, so the
             // solve inside the future still hits the cached plan.
             let solver = self.gravity_solver.clone();
             let apex = self.apex.clone();
-            let nloc = self.opts.localities.min(cluster.num_localities()).max(1);
-            let rts: Vec<hpx_rt::Runtime> = (0..nloc)
-                .map(|i| cluster.locality(i).runtime().clone())
-                .collect();
-            let space = ExecSpace::hpx(rt0.clone());
+            let spaces = locality_spaces(cluster, self.opts.localities);
             let grid = self.grid.clone();
             Some(rt0.async_call(move || {
                 let _t = apex.timer("gravity:solve");
-                let plan = {
-                    let _p = apex.timer("gravity:plan");
-                    grid.with_tree(|t| solver.plan_for(t))
-                };
-                let (fields, stats) = {
-                    let _k = apex.timer("gravity:kernels");
-                    if nloc > 1 {
-                        // The distributed solve treats a cross-locality
-                        // ghost link exactly like a local one: the whole
-                        // sharded pipeline still runs inside this future,
-                        // overlapping the stage-0 ghost fill.
-                        let dist = {
-                            let owner = grid.with_tree(|t| octree::partition_morton(t, nloc));
-                            solver.dist_plan_for(&plan, &owner, nloc)
-                        };
-                        solver.solve_distributed(&plan, &dist, &sources, &rts)
-                    } else {
-                        solver.solve_with_plan(&plan, &sources, &space)
-                    }
-                };
+                // The sharded solve treats a cross-locality ghost link
+                // exactly like a local one: the whole pipeline still runs
+                // inside this future, overlapping the stage-0 ghost fill.
+                let (fields, stats) = solve_gravity(&apex, &grid, &solver, &sources, &spaces);
                 (Arc::new(fields), stats)
             }))
         } else {

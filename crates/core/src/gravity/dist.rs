@@ -1,5 +1,5 @@
-//! The distributed FMM: per-locality halo plans and the multi-locality
-//! solve.
+//! The halo plan of the sharded FMM: slot ownership and the frozen
+//! per-phase exchange schedule, plus the parcel wire they travel over.
 //!
 //! The paper's Fugaku runs shard the octree over HPX localities and move
 //! every cross-locality interaction as a parcel.  This module does the
@@ -19,34 +19,27 @@
 //! * **P2P halo** (class `p2p`): near-field source leaves' point masses
 //!   read by leaves owned elsewhere.
 //!
-//! [`GravitySolver::solve_distributed`] then runs the phases in level
-//! lockstep: each locality computes its owned slots on its own runtime,
-//! and between phases the frozen exchange lists are serialized into
-//! recycled payload buffers and moved through a typed
-//! [`hpx_rt::ParcelTransport`] (one parcel per `(from, to)` pair per
-//! phase/level, metered into `/octotiger/parcels/*`).
+//! [`GravitySolver::solve_sharded`] runs the phases in level lockstep and
+//! moves each frozen exchange list between them as one typed
+//! [`hpx_rt::ParcelTransport`] parcel per `(from, to)` pair per
+//! phase/level, metered into `/octotiger/parcels/*`.  One locality owns
+//! every slot, so its schedule is empty and nothing is sent.
 //!
-//! **Bit-identity.**  Every per-slot kernel is the same code the
-//! single-locality [`GravitySolver::solve_with_plan`] runs, fed the same
-//! operands in the same plan-frozen order — transported values are exact
-//! `f64` copies, and consumers fold them in CSR order, never arrival
-//! order.  `tests/distributed_equivalence.rs` pins this: any locality
-//! count produces bit-identical fields (and therefore bit-identical
-//! 10-step ledgers) to the single-locality reference.
+//! **Bit-identity.**  Transported values are exact `f64` copies and
+//! consumers fold them in CSR order, never arrival order, so the field
+//! does not depend on the locality count.
+//! `sharded_solve_is_bit_identical_for_every_locality_count` pins this
+//! against a golden digest of the one-locality field, and
+//! `tests/distributed_equivalence.rs` pins the 10-step ledgers.
+//!
+//! [`GravitySolver::solve_sharded`]: super::solver::GravitySolver::solve_sharded
 
-use super::direct::{p2p_at_w, p2p_at_wide, PointMasses};
-use super::m2l_simd::{m2l_accumulate_w, m2l_accumulate_wide, MultipoleSoA};
-use super::multipole::{LocalExpansion, Multipole};
+use super::direct::PointMasses;
 use super::plan::{GravityPlan, SlotKind};
-use super::solver::{GravitySolver, LeafField, LeafSources, SolveStats};
-use hpx_rt::{LocalityId, ParcelClass, ParcelTransport, Runtime};
+use hpx_rt::{LocalityId, ParcelClass, ParcelTransport};
 use kokkos_rs::pool::{Recycled, ScratchArena};
-use kokkos_rs::{parallel_for_mut, ChunkSpec, ExecSpace, RangePolicy};
 use octree::NodeId;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
-use sve_simd::VectorMode;
 
 /// One batched cross-locality transfer: the plan-frozen list of slot (or
 /// leaf) indices whose payloads travel the `(from, to)` lane together in
@@ -106,8 +99,9 @@ pub struct DistPlan {
     pub p2p_halo: Vec<Exchange>,
 }
 
-/// One barrier of the phase-lockstep distributed solve, in the order
-/// [`GravitySolver::solve_distributed`] runs them.  Returned by
+/// One barrier of the phase-lockstep sharded solve, in the order
+/// [`solve_sharded`](super::solver::GravitySolver::solve_sharded) runs
+/// them.  Returned by
 /// [`DistPlan::phase_schedule`] so verifiers (and future transports) can
 /// walk the frozen communication schedule without re-deriving the solver's
 /// control flow.
@@ -294,7 +288,8 @@ impl DistPlan {
     }
 
     /// The frozen communication schedule, in the exact barrier order
-    /// [`GravitySolver::solve_distributed`] runs: `up[deepest]` … `up[1]`,
+    /// [`solve_sharded`](super::solver::GravitySolver::solve_sharded)
+    /// runs: `up[deepest]` … `up[1]`,
     /// the M2L halo, `down[1]` … `down[deepest]`, the P2P halo.  `up[0]`
     /// and `down[0]` (the root level) never exchange and are not part of
     /// the schedule — [`super::verify::verify_dist_plan`] checks they are
@@ -324,7 +319,7 @@ impl DistPlan {
 
 /// Append the flat parcel encoding of a point set: count, then the four
 /// SoA component runs (exact bit copies).
-fn write_points_flat(p: &PointMasses, out: &mut Vec<f64>) {
+pub(crate) fn write_points_flat(p: &PointMasses, out: &mut Vec<f64>) {
     out.push(p.len() as f64);
     out.extend_from_slice(&p.xs);
     out.extend_from_slice(&p.ys);
@@ -332,357 +327,81 @@ fn write_points_flat(p: &PointMasses, out: &mut Vec<f64>) {
     out.extend_from_slice(&p.ms);
 }
 
-/// Decode one point set from the front of `buf`; returns it and the words
-/// consumed.
-fn read_points_flat(buf: &[f64]) -> (PointMasses, usize) {
+/// Decode one point set from the front of `buf` into `out`, reusing its
+/// storage; returns the words consumed.
+pub(crate) fn read_points_into(buf: &[f64], out: &mut PointMasses) -> usize {
     let n = buf[0] as usize;
-    let grab = |k: usize| buf[1 + k * n..1 + (k + 1) * n].to_vec();
-    (
-        PointMasses {
-            xs: grab(0),
-            ys: grab(1),
-            zs: grab(2),
-            ms: grab(3),
-        },
-        1 + 4 * n,
-    )
-}
-
-/// One locality's working set: full-length slot buffers (never-received
-/// slots stay at their zero fill and are never read — only plan-listed
-/// sources are), the received P2P halo, and the owned output fields.
-struct LocBufs {
-    multipoles: Vec<Multipole>,
-    locals: Vec<LocalExpansion>,
-    acc: Vec<LocalExpansion>,
-    soa: MultipoleSoA,
-    halo_points: Vec<Option<PointMasses>>,
-    fields: Vec<LeafField>,
-}
-
-/// Shared handle to a locality's buffers: its phase tasks and the
-/// calling-thread exchanges alternate (phases are joined before any
-/// exchange runs), so the lock is never contended.
-type BufCell = Arc<Mutex<Option<LocBufs>>>;
-
-/// Run `f(loc, bufs)` on every locality's own runtime and join.
-fn run_phase(
-    rts: &[Runtime],
-    cells: &[BufCell],
-    f: impl Fn(usize, &mut LocBufs) + Send + Sync + 'static,
-) {
-    let f = Arc::new(f);
-    let futs: Vec<_> = cells
-        .iter()
+    for (k, v) in [&mut out.xs, &mut out.ys, &mut out.zs, &mut out.ms]
+        .into_iter()
         .enumerate()
-        .map(|(loc, cell)| {
-            let cell = cell.clone();
-            let f = f.clone();
-            rts[loc].async_call(move || {
-                let mut guard = cell.lock();
-                f(loc, guard.as_mut().expect("locality buffers present"));
-            })
-        })
-        .collect();
-    for fut in futs {
-        fut.wait();
+    {
+        v.clear();
+        v.extend_from_slice(&buf[1 + k * n..1 + (k + 1) * n]);
     }
+    1 + 4 * n
 }
 
-/// Move one phase's exchange list through the transport: serialize on the
-/// sender's side into a recycled payload, one parcel per `(from, to)`
-/// lane, then decode on the receiver's side in the same frozen order.
-/// Phases are level-lockstep, so every parcel is queued by receive time.
-fn exchange(
-    transport: &ParcelTransport<Recycled<f64>>,
-    arena: &ScratchArena,
-    cells: &[BufCell],
-    exchanges: &[Exchange],
-    class: ParcelClass,
-    pack: impl Fn(&LocBufs, usize, &mut Vec<f64>),
-    unpack: impl Fn(&mut LocBufs, usize, &[f64]) -> usize,
-) {
-    for ex in exchanges {
-        let mut payload = arena.checkout_empty(ex.slots.len() * Multipole::FLAT_LEN);
-        {
-            let guard = cells[ex.from].lock();
-            let bufs = guard.as_ref().expect("sender buffers present");
-            for &s in &ex.slots {
-                pack(bufs, s, &mut payload);
-            }
-        }
-        let bytes = payload.len() * std::mem::size_of::<f64>();
-        transport.send(ex.from, ex.to, class, bytes, payload);
-    }
-    for ex in exchanges {
-        let parcel = transport
-            .try_receive(ex.from, ex.to)
-            .expect("lockstep exchange: parcel queued");
-        let mut guard = cells[ex.to].lock();
-        let bufs = guard.as_mut().expect("receiver buffers present");
-        let mut off = 0usize;
-        for &s in &ex.slots {
-            off += unpack(bufs, s, &parcel.payload[off..]);
-        }
-        debug_assert_eq!(off, parcel.payload.len(), "parcel decode misaligned");
-    }
+/// The parcel side of one sharded solve: a typed transport between the
+/// localities and the arena its payloads are checked out of.
+pub(crate) struct Wire {
+    transport: ParcelTransport<Recycled<f64>>,
+    arena: ScratchArena,
 }
 
-impl GravitySolver {
-    /// Run the three solver phases sharded over `dist.num_localities`
-    /// simulated localities, each computing its owned slots on its own
-    /// runtime (`rts[loc]`), with cross-locality traffic batched through
-    /// a typed parcel transport.  Bit-identical to
-    /// [`GravitySolver::solve_with_plan`] on the same plan.
-    pub fn solve_distributed(
+impl Wire {
+    pub(crate) fn new(num_localities: usize, arena: ScratchArena) -> Wire {
+        Wire {
+            transport: ParcelTransport::new(num_localities),
+            arena,
+        }
+    }
+
+    /// Move one phase's frozen exchange list: serialize on the sender's
+    /// side into a recycled payload (`words_per_slot` sizes its checkout),
+    /// one parcel per `(from, to)` lane, then decode on the receiver's
+    /// side in the same frozen order.  Phases are lockstep, so every
+    /// parcel is queued by receive time.  An empty list — every list of a
+    /// one-locality plan — sends nothing.
+    pub(crate) fn exchange<B>(
         &self,
-        plan: &Arc<GravityPlan>,
-        dist: &Arc<DistPlan>,
-        sources: &Arc<HashMap<NodeId, LeafSources>>,
-        rts: &[Runtime],
-    ) -> (HashMap<NodeId, LeafField>, SolveStats) {
-        let nloc = dist.num_localities;
-        assert!(rts.len() >= nloc, "need one runtime per locality");
-        debug_assert!(plan.leaves.iter().all(|l| sources.contains_key(l)));
-        let rts: Arc<Vec<Runtime>> = Arc::new(rts[..nloc].to_vec());
-        let arena = self.scratch_arena().clone();
-        let transport: ParcelTransport<Recycled<f64>> = ParcelTransport::new(nloc);
-        let cells: Vec<BufCell> = (0..nloc)
-            .map(|_| {
-                Arc::new(Mutex::new(Some(LocBufs {
-                    multipoles: vec![Multipole::zero([0.0; 3]); plan.num_nodes],
-                    locals: vec![LocalExpansion::zero(); plan.num_nodes],
-                    acc: Vec::new(),
-                    soa: MultipoleSoA::default(),
-                    halo_points: vec![None; plan.leaves.len()],
-                    fields: Vec::new(),
-                })))
-            })
-            .collect();
-
-        // ---- Phase 1: bottom-up, level-lockstep. -----------------------
-        // Each locality computes its owned slots of the level (same P2M /
-        // M2M kernels, same operands), then child multipoles whose parent
-        // lives elsewhere cross as `multipole-up` parcels.
-        let nlev = plan.level_ranges.len();
-        for level in (0..nlev).rev() {
-            {
-                let (plan, dist, sources) = (plan.clone(), dist.clone(), sources.clone());
-                run_phase(&rts, &cells, move |loc, b| {
-                    for &s in &dist.owned_by_level[loc][level] {
-                        let mut mp = match plan.kinds[s] {
-                            SlotKind::Leaf(li) => {
-                                Multipole::from_soa(&sources[&plan.leaves[li]].points)
-                            }
-                            SlotKind::Interior(kids) => {
-                                // Fixed-size gather: no per-slot heap
-                                // allocation inside the kernel body (the
-                                // zero-alloc steady state hpx-check's
-                                // allocation lint guards).
-                                let children: [&Multipole; 8] =
-                                    std::array::from_fn(|c| &b.multipoles[kids[c]]);
-                                Multipole::combine(&children)
-                            }
-                        };
-                        if mp.m == 0.0 {
-                            mp = Multipole::zero(plan.centers[s]);
-                        }
-                        b.multipoles[s] = mp;
-                    }
-                });
-            }
-            if level > 0 {
-                exchange(
-                    &transport,
-                    &arena,
-                    &cells,
-                    &dist.up[level],
-                    ParcelClass::MultipoleUp,
-                    |b, s, out| b.multipoles[s].write_flat(out),
-                    |b, s, buf| {
-                        b.multipoles[s] = Multipole::read_flat(buf);
-                        Multipole::FLAT_LEN
-                    },
-                );
-            }
-        }
-
-        // ---- Phase 2: M2L halo, then each locality's share of the
-        // multipole kernel. ----------------------------------------------
-        exchange(
-            &transport,
-            &arena,
-            &cells,
-            &dist.m2l_halo,
-            ParcelClass::M2l,
-            |b, s, out| b.multipoles[s].write_flat(out),
-            |b, s, buf| {
-                b.multipoles[s] = Multipole::read_flat(buf);
-                Multipole::FLAT_LEN
-            },
-        );
-        {
-            let (plan, dist, rts) = (plan.clone(), dist.clone(), rts.clone());
-            let tasks = self.opts.tasks_per_multipole_kernel;
-            let use_oct = self.opts.use_octupole;
-            let mode = self.opts.vector_mode;
-            run_phase(&rts.clone(), &cells, move |loc, b| {
-                b.soa.fill(&b.multipoles);
-                b.locals.clear();
-                b.locals.resize(plan.num_nodes, LocalExpansion::zero());
-                let mine = &dist.owned_m2l_slots[loc];
-                b.acc.clear();
-                b.acc.resize(mine.len(), LocalExpansion::zero());
-                let space = ExecSpace::hpx(rts[loc].clone());
-                let policy = RangePolicy::new(0, mine.len()).with_chunk(ChunkSpec::Tasks(tasks));
-                let (soa, acc) = (&b.soa, &mut b.acc);
-                parallel_for_mut(&space, policy, acc, |i, out| {
-                    let target = mine[i];
-                    let center = plan.centers[target];
-                    let srcs = plan.m2l_sources_of(target);
-                    let mut sum = LocalExpansion::zero();
-                    match mode {
-                        VectorMode::Scalar => {
-                            m2l_accumulate_w::<1>(soa, srcs, center, use_oct, &mut sum)
-                        }
-                        VectorMode::Sve512 => {
-                            m2l_accumulate_wide(soa, srcs, center, use_oct, &mut sum)
-                        }
-                    }
-                    *out = sum;
-                });
-                for (i, &slot) in mine.iter().enumerate() {
-                    b.locals[slot] = b.acc[i].clone();
-                }
-            });
-        }
-
-        // ---- Phase 3a: top-down, level-lockstep. -----------------------
-        // Parent locals at level L are final once level L was written, so
-        // ship the cross-locality ones, then children gather+shift exactly
-        // like the single-locality downward pass.
-        for level in 0..nlev.saturating_sub(1) {
-            exchange(
-                &transport,
-                &arena,
-                &cells,
-                &dist.down[level + 1],
-                ParcelClass::MultipoleDown,
-                |b, s, out| b.locals[s].write_flat(out),
-                |b, s, buf| {
-                    b.locals[s] = LocalExpansion::read_flat(buf);
-                    LocalExpansion::FLAT_LEN
-                },
-            );
-            let (plan, dist) = (plan.clone(), dist.clone());
-            run_phase(&rts, &cells, move |loc, b| {
-                for &s in &dist.owned_by_level[loc][level + 1] {
-                    let p = plan.parent_slot[s];
-                    let pc = plan.centers[p];
-                    let cc = plan.centers[s];
-                    let d = [cc[0] - pc[0], cc[1] - pc[1], cc[2] - pc[2]];
-                    let shifted = b.locals[p].shifted(d);
-                    b.locals[s].add_assign(&shifted);
-                }
-            });
-        }
-
-        // ---- Phase 3b: P2P halo, then per-leaf evaluation. -------------
-        for ex in &dist.p2p_halo {
-            let mut payload = arena.checkout_empty(0);
-            for &li in &ex.slots {
-                write_points_flat(&sources[&plan.leaves[li]].points, &mut payload);
+        bufs: &mut [B],
+        exchanges: &[Exchange],
+        class: ParcelClass,
+        words_per_slot: usize,
+        pack: impl Fn(&B, usize, &mut Vec<f64>),
+        unpack: impl Fn(&mut B, usize, &[f64]) -> usize,
+    ) {
+        for ex in exchanges {
+            let mut payload = self.arena.checkout_empty(ex.slots.len() * words_per_slot);
+            for &s in &ex.slots {
+                pack(&bufs[ex.from], s, &mut payload);
             }
             let bytes = payload.len() * std::mem::size_of::<f64>();
-            transport.send(ex.from, ex.to, ParcelClass::P2p, bytes, payload);
+            self.transport.send(ex.from, ex.to, class, bytes, payload);
         }
-        for ex in &dist.p2p_halo {
-            let parcel = transport
+        for ex in exchanges {
+            let parcel = self
+                .transport
                 .try_receive(ex.from, ex.to)
                 .expect("lockstep exchange: parcel queued");
-            let mut guard = cells[ex.to].lock();
-            let bufs = guard.as_mut().expect("receiver buffers present");
             let mut off = 0usize;
-            for &li in &ex.slots {
-                let (pts, used) = read_points_flat(&parcel.payload[off..]);
-                bufs.halo_points[li] = Some(pts);
-                off += used;
+            for &s in &ex.slots {
+                off += unpack(&mut bufs[ex.to], s, &parcel.payload[off..]);
             }
             debug_assert_eq!(off, parcel.payload.len(), "parcel decode misaligned");
         }
-        {
-            let (plan, dist, sources, rts) =
-                (plan.clone(), dist.clone(), sources.clone(), rts.clone());
-            let mode = self.opts.vector_mode;
-            let p2p_tasks = self.opts.tasks_per_p2p_kernel;
-            let arena = arena.clone();
-            run_phase(&rts.clone(), &cells, move |loc, b| {
-                let owned = &dist.owned_leaves[loc];
-                b.fields.clear();
-                b.fields.resize_with(owned.len(), LeafField::default);
-                let space = ExecSpace::hpx(rts[loc].clone());
-                let policy = RangePolicy::new(0, owned.len())
-                    .with_chunk(ChunkSpec::tasks_or_auto(p2p_tasks));
-                let (halo, locals, fields) = (&b.halo_points, &b.locals, &mut b.fields);
-                parallel_for_mut(&space, policy, fields, |i, out| {
-                    let li = owned[i];
-                    let pts = &sources[&plan.leaves[li]].points;
-                    let ncells = pts.len();
-                    let mut field = LeafField {
-                        phi: arena.checkout(ncells),
-                        gx: arena.checkout(ncells),
-                        gy: arena.checkout(ncells),
-                        gz: arena.checkout(ncells),
-                    };
-                    let slot = plan.leaf_slots[li];
-                    let center = plan.centers[slot];
-                    let local = &locals[slot];
-                    let p2p_srcs = plan.p2p_sources_of(li);
-                    for c in 0..ncells {
-                        let x = [pts.xs[c], pts.ys[c], pts.zs[c]];
-                        let off = [x[0] - center[0], x[1] - center[1], x[2] - center[2]];
-                        let (mut phi, mut g) = local.evaluate(off);
-                        for &src_leaf in p2p_srcs {
-                            let sp: &PointMasses = if dist.leaf_owner[src_leaf] == loc {
-                                &sources[&plan.leaves[src_leaf]].points
-                            } else {
-                                halo[src_leaf].as_ref().expect("p2p halo leaf received")
-                            };
-                            let (p, gg) = match mode {
-                                VectorMode::Scalar => p2p_at_w::<1>(sp, x[0], x[1], x[2]),
-                                VectorMode::Sve512 => p2p_at_wide(sp, x[0], x[1], x[2]),
-                            };
-                            phi += p;
-                            for a in 0..3 {
-                                g[a] += gg[a];
-                            }
-                        }
-                        field.phi[c] = phi;
-                        field.gx[c] = g[0];
-                        field.gy[c] = g[1];
-                        field.gz[c] = g[2];
-                    }
-                    *out = field;
-                });
-            });
-        }
-
-        // ---- Assemble the global field map from the owned shards. ------
-        let mut fields = HashMap::with_capacity(plan.leaves.len());
-        for (loc, cell) in cells.iter().enumerate() {
-            let bufs = cell.lock().take().expect("locality buffers present");
-            for (&li, field) in dist.owned_leaves[loc].iter().zip(bufs.fields) {
-                fields.insert(plan.leaves[li], field);
-            }
-        }
-        (fields, plan.stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gravity::solver::tests::{assert_bit_identical, sources_in_box};
+    use crate::gravity::solver::{GravitySolver, LeafField, SolveStats};
+    use hpx_rt::Runtime;
+    use kokkos_rs::ExecSpace;
     use octree::{partition_morton, Tree};
+    use std::sync::Arc;
 
     fn plan_for(tree: &Tree) -> GravityPlan {
         GravityPlan::build(tree, 0.5)
@@ -754,66 +473,51 @@ mod tests {
         );
     }
 
-    /// Deterministic sources on a tree's leaf cell centers (a small blob
-    /// with a ripple, same recipe as the solver tests).
-    fn make_sources(tree: &Tree, n: usize) -> HashMap<NodeId, super::LeafSources> {
-        let mut out = HashMap::new();
+    /// FNV-1a over the `phi`/`gx`/`gy`/`gz` bits of every leaf, in
+    /// `tree.leaves()` order.
+    fn field_digest(tree: &Tree, fields: &HashMap<NodeId, LeafField>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for leaf in tree.leaves() {
-            let (corner, size) = leaf.cube();
-            let h = size / n as f64;
-            let mut points = PointMasses::default();
-            for i in 0..n {
-                for j in 0..n {
-                    for k in 0..n {
-                        let ux = corner[0] + (i as f64 + 0.5) * h;
-                        let uy = corner[1] + (j as f64 + 0.5) * h;
-                        let uz = corner[2] + (k as f64 + 0.5) * h;
-                        let x = (ux - 0.5) * 2.0;
-                        let y = (uy - 0.5) * 2.0;
-                        let z = (uz - 0.5) * 2.0;
-                        let r2 = x * x + y * y + z * z;
-                        let m = (1.0 + 0.3 * (13.0 * ux).sin() * (7.0 * uy).cos())
-                            * (-2.0 * r2).exp()
-                            * h
-                            * h
-                            * h;
-                        points.push([x, y, z], m);
-                    }
+            let f = &fields[&leaf];
+            for arr in [&f.phi, &f.gx, &f.gy, &f.gz] {
+                for byte in arr.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+                    h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
                 }
             }
-            out.insert(leaf, super::LeafSources { points });
         }
-        out
+        h
     }
 
+    /// Field digests of the one-locality solve on the uniform level-2 tree
+    /// and the refined tree below, recorded with the separate local-only
+    /// solve this sharded solve replaced (identical in both vector modes).
+    const GOLDEN: [u64; 2] = [0xdcc5_a676_660f_dbda, 0x14ac_1c1e_df7c_3260];
+
     #[test]
-    fn distributed_solve_is_bit_identical_to_single_locality() {
+    fn sharded_solve_is_bit_identical_for_every_locality_count() {
         let mut adaptive = Tree::new_uniform(1);
         adaptive.refine_balanced(adaptive.leaves()[0]);
-        for tree in [Tree::new_uniform(2), adaptive] {
-            let sources = Arc::new(make_sources(&tree, 3));
+        for (tree, golden) in [Tree::new_uniform(2), adaptive].into_iter().zip(GOLDEN) {
+            let sources = sources_in_box(&tree, 3, 2.0);
             let solver = GravitySolver::default();
             let plan = solver.plan_for(&tree);
-            let (f_ref, s_ref) = solver.solve_with_plan(&plan, &sources, &ExecSpace::Serial);
-            for nloc in [2usize, 3, 4, 7] {
+            let mut reference: Option<(HashMap<NodeId, LeafField>, SolveStats)> = None;
+            for nloc in [1usize, 2, 3, 4, 7] {
                 let owner = partition_morton(&tree, nloc);
                 let dist = solver.dist_plan_for(&plan, &owner, nloc);
                 let rts: Vec<Runtime> = (0..nloc).map(|_| Runtime::new(2)).collect();
-                let (f_dist, s_dist) = solver.solve_distributed(&plan, &dist, &sources, &rts);
-                assert_eq!(s_ref, s_dist);
-                assert_eq!(f_ref.len(), f_dist.len());
-                for leaf in tree.leaves() {
-                    let (a, b) = (&f_ref[&leaf], &f_dist[&leaf]);
-                    for c in 0..a.phi.len() {
-                        assert_eq!(a.phi[c].to_bits(), b.phi[c].to_bits(), "nloc={nloc}");
-                        assert_eq!(a.gx[c].to_bits(), b.gx[c].to_bits(), "nloc={nloc}");
-                        assert_eq!(a.gy[c].to_bits(), b.gy[c].to_bits(), "nloc={nloc}");
-                        assert_eq!(a.gz[c].to_bits(), b.gz[c].to_bits(), "nloc={nloc}");
-                    }
-                }
+                let spaces: Vec<ExecSpace> = rts.iter().cloned().map(ExecSpace::hpx).collect();
+                let (fields, stats) = solver.solve_sharded(&plan, &dist, &sources, &spaces);
                 for rt in rts {
                     rt.shutdown();
                 }
+                let Some((f_ref, s_ref)) = &reference else {
+                    assert_eq!(field_digest(&tree, &fields), golden, "one-locality digest");
+                    reference = Some((fields, stats));
+                    continue;
+                };
+                assert_eq!(*s_ref, stats, "nloc={nloc}");
+                assert_bit_identical(&tree, f_ref, &fields);
             }
         }
     }
@@ -842,14 +546,15 @@ mod tests {
     #[test]
     fn distributed_solve_meters_parcels() {
         let tree = Tree::new_uniform(2);
-        let sources = Arc::new(make_sources(&tree, 2));
+        let sources = sources_in_box(&tree, 2, 2.0);
         let solver = GravitySolver::default();
         let plan = solver.plan_for(&tree);
         let owner = partition_morton(&tree, 4);
         let dist = solver.dist_plan_for(&plan, &owner, 4);
         let before = hpx_rt::parcel_counters().snapshot();
         let rts: Vec<Runtime> = (0..4).map(|_| Runtime::new(2)).collect();
-        let _ = solver.solve_distributed(&plan, &dist, &sources, &rts);
+        let spaces: Vec<ExecSpace> = rts.iter().cloned().map(ExecSpace::hpx).collect();
+        let _ = solver.solve_sharded(&plan, &dist, &sources, &spaces);
         let delta = hpx_rt::parcel_counters().snapshot().since(&before);
         // Other tests in this process may send parcels concurrently, so
         // the delta is a lower bound here; the distributed-equivalence
@@ -874,12 +579,19 @@ mod tests {
         let mut wire = Vec::new();
         write_points_flat(&p, &mut wire);
         write_points_flat(&p, &mut wire);
-        let (back, used) = read_points_flat(&wire);
+        // Decode into recycled storage that holds a longer, stale set.
+        let mut back = PointMasses::default();
+        for _ in 0..5 {
+            back.push([9.0; 3], 9.0);
+        }
+        let used = read_points_into(&wire, &mut back);
         assert_eq!(used, 1 + 4 * p.len());
-        assert_eq!(back.xs, p.xs);
-        assert_eq!(back.ms, p.ms);
-        let (back2, used2) = read_points_flat(&wire[used..]);
+        assert_eq!(
+            (&back.xs, &back.ys, &back.zs, &back.ms),
+            (&p.xs, &p.ys, &p.zs, &p.ms)
+        );
+        let used2 = read_points_into(&wire[used..], &mut back);
         assert_eq!(used2, used);
-        assert_eq!(back2.zs, p.zs);
+        assert_eq!(back.zs, p.zs);
     }
 }

@@ -1,5 +1,5 @@
-//! The FMM driver: the three solver phases run over a cached
-//! [`GravityPlan`], plus the task-splittable multipole kernel.
+//! The FMM solver: one sharded solve over a cached [`GravityPlan`] and
+//! its [`DistPlan`], plus the task-splittable multipole kernel.
 //!
 //! Phase structure follows paper Section VII-C: *"In each gravity solver
 //! iteration, we have one bottom-up tree traversal.  In the second step, we
@@ -18,17 +18,24 @@
 //! Octo-Tiger, which computes interaction lists once per regrid.  Plan
 //! reuse is observable through the global
 //! `/octotiger/gravity/plan-{hits,rebuilds}` counters and the per-solver
-//! [`GravitySolver::plan_counters`].  All three phases run as dense-index
-//! kernels over the plan's slot table with per-chunk disjoint `&mut`
-//! slices ([`kokkos_rs::parallel_for_mut`]) — no `HashMap` lookups and no
-//! `Mutex` traffic on the hot path.
+//! [`GravitySolver::plan_counters`].
+//!
+//! **One solve for every locality count.**  [`GravitySolver::solve_sharded`]
+//! runs each phase once per locality over that locality's owned slots and
+//! leaves, as dense-index `parallel_for_mut` launches with per-chunk
+//! disjoint `&mut` slices — no `HashMap` lookups and no `Mutex` traffic on
+//! the hot path.  Between phases the only traffic is the [`DistPlan`]'s
+//! frozen exchange schedule.  A single locality is the degenerate case —
+//! it owns everything and its schedule is empty — which is exactly what
+//! [`GravitySolver::solve`] runs, the way an HPX program runs unchanged on
+//! one locality with no parcels.
 
 use super::direct::{p2p_at_w, p2p_at_wide, PointMasses};
-use super::dist::DistPlan;
+use super::dist::{read_points_into, write_points_flat, DistPlan, Wire};
 use super::m2l_simd::{m2l_accumulate_w, m2l_accumulate_wide, MultipoleSoA};
 use super::multipole::{LocalExpansion, Multipole};
 use super::plan::{GravityPlan, SlotKind};
-use hpx_rt::LocalityId;
+use hpx_rt::{LocalityId, ParcelClass};
 use kokkos_rs::pool::{Recycled, ScratchArena};
 use kokkos_rs::{parallel_for_mut, ChunkSpec, ExecSpace, RangePolicy};
 use octree::{NodeId, Tree};
@@ -114,19 +121,26 @@ pub struct SolveStats {
     pub multipole_kernel_launches: usize,
 }
 
-/// Recycled expansion buffers of the solve phases, kept on the plan cache
-/// so steady-state solves allocate nothing (CPPuddle-style, like the
-/// `ScratchArena` the `LeafField` outputs already recycle through).
+/// One locality's working set, recycled on the plan cache so steady-state
+/// solves allocate nothing (CPPuddle-style, like the `ScratchArena` the
+/// `LeafField` outputs recycle through).  The slot buffers are full
+/// length: slots the locality neither owns nor receives keep stale values
+/// and are never read — only plan-listed sources are.
 #[derive(Debug, Default)]
-struct SolveBuffers {
+struct ShardBuffers {
     /// Per-slot multipole moments (the upward pass's output).
     multipoles: Vec<Multipole>,
     /// Per-slot local expansions (M2L targets + downward accumulation).
     locals: Vec<LocalExpansion>,
-    /// Dense M2L accumulators, aligned with the plan's target list.
-    m2l_acc: Vec<LocalExpansion>,
+    /// Dense M2L accumulators, aligned with the locality's target list.
+    acc: Vec<LocalExpansion>,
     /// Component-major multipole lanes for the SIMD M2L kernel's gathers.
     soa: MultipoleSoA,
+    /// Received near-field points, indexed by leaf; only the leaves the
+    /// P2P halo delivers in the current solve are read.
+    halo: Vec<PointMasses>,
+    /// Output fields of the owned leaves, in owned-leaf order.
+    fields: Vec<LeafField>,
 }
 
 /// The solver's plan cache: shared (`Arc`) between a solver and its clones
@@ -134,13 +148,13 @@ struct SolveBuffers {
 #[derive(Debug, Default)]
 struct PlanCache {
     plan: Mutex<Option<Arc<GravityPlan>>>,
-    buffers: Mutex<Option<SolveBuffers>>,
+    shards: Mutex<Option<Vec<ShardBuffers>>>,
     hits: AtomicU64,
     rebuilds: AtomicU64,
     last_hit: AtomicBool,
-    /// Cached halo plan of the distributed solve, keyed (like the
-    /// interaction plan itself) on `topology_version`, θ, and the
-    /// locality count — a regrid invalidates both plans together.
+    /// Cached halo plan, keyed (like the interaction plan itself) on
+    /// `topology_version`, θ, and the locality count — a regrid
+    /// invalidates both plans together.
     dist: Mutex<Option<Arc<DistPlan>>>,
     dist_hits: AtomicU64,
     dist_rebuilds: AtomicU64,
@@ -150,13 +164,14 @@ struct PlanCache {
 #[derive(Debug, Clone, Default)]
 pub struct GravitySolver {
     pub opts: GravityOptions,
-    /// Arena the per-leaf output fields are checked out of.  Pass a
-    /// long-lived pool via [`GravitySolver::with_scratch`] to recycle them
-    /// across solves; a solver built with [`GravitySolver::new`] gets its
-    /// own (then recycling only spans that solver's lifetime).
+    /// Arena the per-leaf output fields (and parcel payloads) are checked
+    /// out of.  Pass a long-lived pool via [`GravitySolver::with_scratch`]
+    /// to recycle them across solves; a solver built with
+    /// [`GravitySolver::new`] gets its own (then recycling only spans that
+    /// solver's lifetime).
     scratch: ScratchArena,
-    /// Cached interaction plan + recycled solve buffers, shared with
-    /// clones of this solver.
+    /// Cached interaction and halo plans + recycled locality buffers,
+    /// shared with clones of this solver.
     cache: Arc<PlanCache>,
 }
 
@@ -308,15 +323,16 @@ impl GravitySolver {
         )
     }
 
-    /// The arena the per-leaf output fields (and parcel payloads of the
-    /// distributed solve) are checked out of.
-    pub(crate) fn scratch_arena(&self) -> &ScratchArena {
-        &self.scratch
+    /// The cached one-locality halo plan of `plan`: locality 0 owns every
+    /// slot and the exchange schedule is empty.
+    fn one_locality(&self, plan: &GravityPlan) -> Arc<DistPlan> {
+        let owner = plan.leaves.iter().map(|&l| (l, LocalityId(0))).collect();
+        self.dist_plan_for(plan, &owner, 1)
     }
 
     /// Solve for the gravitational field of `sources` on `tree`, running
-    /// the kernels on `space`.  Equivalent to [`GravitySolver::plan_for`]
-    /// followed by [`GravitySolver::solve_with_plan`].
+    /// the kernels on `space`: [`GravitySolver::plan_for`], the cached
+    /// one-locality halo plan, then [`GravitySolver::solve_sharded`].
     pub fn solve(
         &self,
         tree: &Tree,
@@ -324,126 +340,182 @@ impl GravitySolver {
         space: &ExecSpace,
     ) -> (HashMap<NodeId, LeafField>, SolveStats) {
         let plan = self.plan_for(tree);
-        self.solve_with_plan(&plan, sources, space)
+        let dist = self.one_locality(&plan);
+        self.solve_sharded(&plan, &dist, sources, std::slice::from_ref(space))
     }
 
-    /// Run the three solver phases over a prebuilt plan — pure kernels,
-    /// zero traversal work, no `NodeId` hashing on the hot path.
-    pub fn solve_with_plan(
+    /// Run the three solver phases sharded over `dist.num_localities`
+    /// localities, locality `loc` computing its owned slots and leaves on
+    /// `spaces[loc]`.  Between phases the frozen exchange lists of `dist`
+    /// move expansions and near-field points as typed parcels (metered
+    /// into `/octotiger/parcels/*`); a one-locality plan has none.
+    ///
+    /// **Bit-identity.**  Every slot and leaf is computed by the same
+    /// kernel from the same operands in the same plan-frozen order for
+    /// any locality count: transported values are exact `f64` copies, and
+    /// consumers fold them in CSR order, never arrival order.
+    pub fn solve_sharded(
         &self,
         plan: &GravityPlan,
+        dist: &DistPlan,
         sources: &HashMap<NodeId, LeafSources>,
-        space: &ExecSpace,
+        spaces: &[ExecSpace],
     ) -> (HashMap<NodeId, LeafField>, SolveStats) {
-        debug_assert!(plan.leaves.iter().all(|l| sources.contains_key(l)));
-        // Check the expansion buffers out of the cache (or build fresh on
+        let nloc = dist.num_localities;
+        assert_eq!(spaces.len(), nloc, "one execution space per locality");
+        debug_assert!(dist.is_valid_for(plan, nloc));
+        // Dense per-leaf point handles: no kernel hashes a `NodeId`.
+        let points: Vec<&PointMasses> = plan.leaves.iter().map(|l| &sources[l].points).collect();
+        // Check the locality buffers out of the cache (or build fresh on
         // first use / when a concurrent solve holds them).
-        let mut bufs = self.cache.buffers.lock().take().unwrap_or_default();
+        let mut shards = self.cache.shards.lock().take().unwrap_or_default();
+        shards.resize_with(nloc, ShardBuffers::default);
+        for b in &mut shards {
+            b.multipoles
+                .resize(plan.num_nodes, Multipole::zero([0.0; 3]));
+            b.halo.resize_with(plan.leaves.len(), PointMasses::default);
+        }
+        let wire = Wire::new(nloc, self.scratch.clone());
 
-        // ---- Phase 1: bottom-up (P2M + M2M), parallel per level. -------
-        self.upward_pass(plan, sources, &mut bufs.multipoles, space);
+        // ---- Phase 1: bottom-up (P2M + M2M), then the M2L halo. --------
+        self.upward(plan, dist, &points, &mut shards, spaces, &wire);
 
-        // ---- Phase 2: the multipole (M2L) kernel. ----------------------
-        // Transpose the slot table into component-major lanes once per
-        // solve; every M2L chunk then gathers straight from dense arrays.
-        bufs.soa.fill(&bufs.multipoles);
-        self.multipole_kernel(plan, &bufs.soa, &mut bufs.locals, &mut bufs.m2l_acc, space);
+        // ---- Phase 2: each locality's multipole (M2L) kernel. ----------
+        on_localities(spaces, &mut shards, &|loc, space, b| {
+            // Transpose the slot table into component-major lanes once
+            // per solve; every M2L chunk then gathers from dense arrays.
+            b.soa.fill(&b.multipoles);
+            self.far_field(plan, &dist.owned_m2l_slots[loc], b, space);
+        });
 
-        // ---- Phase 3: top-down (L2L) + evaluation + P2P. ---------------
-        downward_pass(
-            plan,
-            &mut bufs.locals,
-            space,
-            self.opts.tasks_per_slot_kernel,
-        );
-        let fields = self.evaluate(plan, sources, &bufs.locals, space);
+        // ---- Phase 3: top-down (L2L), then the P2P halo + evaluation. --
+        self.downward(plan, dist, &mut shards, spaces, &wire);
+        self.near_field(plan, dist, &points, &mut shards, spaces, &wire);
 
-        let stats = plan.stats;
-        *self.cache.buffers.lock() = Some(bufs);
-        (fields, stats)
+        // ---- Assemble the global field map from the owned shards. ------
+        let mut fields = HashMap::with_capacity(plan.leaves.len());
+        for (owned, b) in dist.owned_leaves.iter().zip(&mut shards) {
+            let leaves = owned.iter().map(|&li| plan.leaves[li]);
+            fields.extend(leaves.zip(b.fields.drain(..)));
+        }
+        *self.cache.shards.lock() = Some(shards);
+        (fields, plan.stats)
     }
 
-    /// Phase 1 over the plan's slot table: one `parallel_for_mut` launch
-    /// per level, deepest first.  `split_at_mut` at the level's begin slot
+    /// Lane-aligned policy of a slot-table (upward/downward) launch: the
+    /// kernels walk their chunk in `SVE_LANES_F64`-wide blocks, so an
+    /// interior task boundary inside a lane block would let two tasks'
+    /// stores touch the same block (`hpx-check races` validates this
+    /// carving against the plan's launch sequence).
+    fn slot_policy(&self, len: usize) -> RangePolicy {
+        RangePolicy::new(0, len)
+            .with_chunk(ChunkSpec::tasks_or_auto(self.opts.tasks_per_slot_kernel))
+            .with_lanes(sve_simd::SVE_LANES_F64)
+    }
+
+    /// Phase 1, deepest level first: each locality launches one kernel
+    /// over the span of its owned slots of the level, then child
+    /// multipoles whose parent lives elsewhere cross as `multipole-up`
+    /// parcels; last, far-field sources read by targets owned elsewhere
+    /// cross as `m2l` parcels.  `split_at_mut` at the span's first slot
     /// separates the already-finalized deeper levels (shared reads) from
-    /// the level being written (disjoint chunk writes), so no locks are
+    /// the slots being written (disjoint chunk writes), so no locks are
     /// needed.  Leaves compute P2M straight from their SoA points
     /// ([`Multipole::from_soa`] — no per-leaf AoS copy); interiors combine
     /// their eight children.
-    fn upward_pass(
+    fn upward(
         &self,
         plan: &GravityPlan,
-        sources: &HashMap<NodeId, LeafSources>,
-        mps: &mut Vec<Multipole>,
-        space: &ExecSpace,
+        dist: &DistPlan,
+        points: &[&PointMasses],
+        shards: &mut [ShardBuffers],
+        spaces: &[ExecSpace],
+        wire: &Wire,
     ) {
-        if mps.len() != plan.num_nodes {
-            mps.clear();
-            mps.resize(plan.num_nodes, Multipole::zero([0.0; 3]));
-        }
-        for level in (0..=plan.max_level()).rev() {
-            let (b, e) = plan.level_ranges[level as usize];
-            if b == e {
-                continue;
-            }
-            let (deeper, rest) = mps.split_at_mut(b);
-            let level_slice = &mut rest[..e - b];
-            // Task boundaries stay on vector-lane multiples: the slot-table
-            // kernels walk their chunk in `SVE_LANES_F64`-wide blocks, so an
-            // interior boundary inside a lane block would let two tasks'
-            // stores touch the same block (`hpx-check races` validates this
-            // carving against the plan's launch sequence).
-            let policy = RangePolicy::new(0, e - b)
-                .with_chunk(ChunkSpec::tasks_or_auto(self.opts.tasks_per_slot_kernel))
-                .with_lanes(sve_simd::SVE_LANES_F64);
-            parallel_for_mut(space, policy, level_slice, |i, out| {
-                let s = b + i;
-                let mut mp = match plan.kinds[s] {
-                    SlotKind::Leaf(li) => Multipole::from_soa(&sources[&plan.leaves[li]].points),
-                    SlotKind::Interior(kids) => {
-                        // Fixed-size gather: no per-slot heap allocation
-                        // inside the kernel body (the zero-alloc steady
-                        // state hpx-check's allocation lint guards).
-                        let children: [&Multipole; 8] = std::array::from_fn(|c| &deeper[kids[c]]);
-                        Multipole::combine(&children)
-                    }
+        let pack = |b: &ShardBuffers, s: usize, out: &mut Vec<f64>| b.multipoles[s].write_flat(out);
+        let unpack = |b: &mut ShardBuffers, s: usize, buf: &[f64]| {
+            b.multipoles[s] = Multipole::read_flat(buf);
+            Multipole::FLAT_LEN
+        };
+        for level in (0..plan.level_ranges.len()).rev() {
+            on_localities(spaces, shards, &|loc, space, b| {
+                let Some((lo, hi)) = span(&dist.owned_by_level[loc][level]) else {
+                    return;
                 };
-                if mp.m == 0.0 {
-                    mp = Multipole::zero(plan.centers[s]);
-                }
-                *out = mp;
+                let (deeper, rest) = b.multipoles.split_at_mut(lo);
+                parallel_for_mut(
+                    space,
+                    self.slot_policy(hi - lo),
+                    &mut rest[..hi - lo],
+                    |i, out| {
+                        let s = lo + i;
+                        // Only a partition that is not SFC-contiguous
+                        // leaves foreign slots inside the span.
+                        if dist.slot_owner[s] != loc {
+                            return;
+                        }
+                        let mut mp = match plan.kinds[s] {
+                            SlotKind::Leaf(li) => Multipole::from_soa(points[li]),
+                            SlotKind::Interior(kids) => {
+                                // Fixed-size gather: no per-slot heap allocation
+                                // inside the kernel body (the zero-alloc steady
+                                // state hpx-check's allocation lint guards).
+                                let children: [&Multipole; 8] =
+                                    std::array::from_fn(|c| &deeper[kids[c]]);
+                                Multipole::combine(&children)
+                            }
+                        };
+                        if mp.m == 0.0 {
+                            mp = Multipole::zero(plan.centers[s]);
+                        }
+                        *out = mp;
+                    },
+                );
             });
+            wire.exchange(
+                shards,
+                &dist.up[level],
+                ParcelClass::MultipoleUp,
+                Multipole::FLAT_LEN,
+                pack,
+                unpack,
+            );
         }
+        wire.exchange(
+            shards,
+            &dist.m2l_halo,
+            ParcelClass::M2l,
+            Multipole::FLAT_LEN,
+            pack,
+            unpack,
+        );
     }
 
-    /// Phase 2: M2L for every target slot with a non-empty list, split
-    /// into `tasks_per_multipole_kernel` HPX tasks (Figure 9).  Each chunk
-    /// owns a disjoint `&mut` slice of the dense accumulator buffer — the
-    /// former per-target `Mutex<LocalExpansion>` slot vector is gone.
-    /// Per-target source order comes from the plan's CSR lists; the
-    /// width-generic kernel accumulates source `i` into stripe `i % 8` and
-    /// folds the stripes in one fixed order at every width, so the sum is
-    /// bit-identical for any task count *and* any vector width.
-    fn multipole_kernel(
+    /// Phase 2 on one locality: M2L for each of its `targets`, split into
+    /// `tasks_per_multipole_kernel` HPX tasks (Figure 9).  Each chunk owns
+    /// a disjoint `&mut` slice of the dense accumulator buffer, scattered
+    /// into the slot table afterwards.  Per-target source order comes from
+    /// the plan's CSR lists; the width-generic kernel accumulates source
+    /// `i` into stripe `i % 8` and folds the stripes in one fixed order at
+    /// every width, so the sum is bit-identical for any task count *and*
+    /// any vector width.
+    fn far_field(
         &self,
         plan: &GravityPlan,
-        soa: &MultipoleSoA,
-        locals: &mut Vec<LocalExpansion>,
-        acc: &mut Vec<LocalExpansion>,
+        targets: &[usize],
+        b: &mut ShardBuffers,
         space: &ExecSpace,
     ) {
-        locals.clear();
-        locals.resize(plan.num_nodes, LocalExpansion::zero());
-        if acc.len() != plan.m2l_targets.len() {
-            acc.clear();
-            acc.resize(plan.m2l_targets.len(), LocalExpansion::zero());
-        }
+        b.locals.clear();
+        b.locals.resize(plan.num_nodes, LocalExpansion::zero());
+        b.acc.resize(targets.len(), LocalExpansion::zero());
         let use_oct = self.opts.use_octupole;
         let mode = self.opts.vector_mode;
-        let policy = RangePolicy::new(0, plan.m2l_targets.len())
+        let policy = RangePolicy::new(0, targets.len())
             .with_chunk(ChunkSpec::Tasks(self.opts.tasks_per_multipole_kernel));
-        parallel_for_mut(space, policy, acc, |t, out| {
-            let target = plan.m2l_targets[t];
+        let soa = &b.soa;
+        parallel_for_mut(space, policy, &mut b.acc, |t, out| {
+            let target = targets[t];
             let center = plan.centers[target];
             let srcs = plan.m2l_sources_of(target);
             let mut sum = LocalExpansion::zero();
@@ -453,85 +525,156 @@ impl GravitySolver {
             }
             *out = sum;
         });
-        for (t, &slot) in plan.m2l_targets.iter().enumerate() {
-            locals[slot] = acc[t].clone();
+        for (t, &slot) in targets.iter().enumerate() {
+            b.locals[slot] = b.acc[t].clone();
         }
     }
 
-    /// Phase 3b: evaluate local expansions at cell centers and add the P2P
-    /// near field — one disjoint output slot per leaf, no locks.
-    fn evaluate(
+    /// Phase 3a, shallowest child level first: parent local expansions
+    /// read by children owned elsewhere cross as `multipole-down` parcels,
+    /// then each locality propagates them (L2L) in *gather* form — every
+    /// owned slot adds its parent's shifted expansion, so each launch
+    /// writes disjoint `&mut` chunks of the child span while reading the
+    /// (finalized, shallower) parent range.
+    fn downward(
         &self,
         plan: &GravityPlan,
-        sources: &HashMap<NodeId, LeafSources>,
-        locals: &[LocalExpansion],
-        space: &ExecSpace,
-    ) -> HashMap<NodeId, LeafField> {
-        let nleaves = plan.leaves.len();
-        // Dense per-leaf point handles: the P2P inner loop indexes leaves,
-        // not NodeId hashes.
-        let pts_by_leaf: Vec<&PointMasses> =
-            plan.leaves.iter().map(|l| &sources[l].points).collect();
-        let mut fields: Vec<LeafField> = Vec::with_capacity(nleaves);
-        fields.resize_with(nleaves, LeafField::default);
-        let mode = self.opts.vector_mode;
-        let policy = RangePolicy::new(0, nleaves)
-            .with_chunk(ChunkSpec::tasks_or_auto(self.opts.tasks_per_p2p_kernel));
-        parallel_for_mut(space, policy, &mut fields, |li, out| {
-            let pts = pts_by_leaf[li];
-            let ncells = pts.len();
-            let mut field = LeafField {
-                phi: self.scratch.checkout(ncells),
-                gx: self.scratch.checkout(ncells),
-                gy: self.scratch.checkout(ncells),
-                gz: self.scratch.checkout(ncells),
-            };
-            let slot = plan.leaf_slots[li];
-            let center = plan.centers[slot];
-            let local = &locals[slot];
-            let p2p_srcs = plan.p2p_sources_of(li);
-            for c in 0..ncells {
-                let x = [pts.xs[c], pts.ys[c], pts.zs[c]];
-                let off = [x[0] - center[0], x[1] - center[1], x[2] - center[2]];
-                let (mut phi, mut g) = local.evaluate(off);
-                for &src_leaf in p2p_srcs {
-                    let sp = pts_by_leaf[src_leaf];
-                    let (p, gg) = match mode {
-                        VectorMode::Scalar => p2p_at_w::<1>(sp, x[0], x[1], x[2]),
-                        VectorMode::Sve512 => p2p_at_wide(sp, x[0], x[1], x[2]),
-                    };
-                    phi += p;
-                    for a in 0..3 {
-                        g[a] += gg[a];
-                    }
-                }
-                field.phi[c] = phi;
-                field.gx[c] = g[0];
-                field.gy[c] = g[1];
-                field.gz[c] = g[2];
-            }
-            *out = field;
-        });
-        plan.leaves.iter().copied().zip(fields).collect()
+        dist: &DistPlan,
+        shards: &mut [ShardBuffers],
+        spaces: &[ExecSpace],
+        wire: &Wire,
+    ) {
+        for level in 1..plan.level_ranges.len() {
+            wire.exchange(
+                shards,
+                &dist.down[level],
+                ParcelClass::MultipoleDown,
+                LocalExpansion::FLAT_LEN,
+                |b, s, out| b.locals[s].write_flat(out),
+                |b, s, buf| {
+                    b.locals[s] = LocalExpansion::read_flat(buf);
+                    LocalExpansion::FLAT_LEN
+                },
+            );
+            on_localities(spaces, shards, &|loc, space, b| {
+                let Some((lo, hi)) = span(&dist.owned_by_level[loc][level]) else {
+                    return;
+                };
+                // Slots ≥ hi include the parent level and everything
+                // shallower — all finalized; slots in [lo, hi) are written.
+                let (rest, shallower) = b.locals.split_at_mut(hi);
+                parallel_for_mut(
+                    space,
+                    self.slot_policy(hi - lo),
+                    &mut rest[lo..],
+                    |i, out| {
+                        let s = lo + i;
+                        if dist.slot_owner[s] != loc {
+                            return;
+                        }
+                        let p = plan.parent_slot[s];
+                        debug_assert!(p >= hi, "parent must be in the shallower half");
+                        let pc = plan.centers[p];
+                        let cc = plan.centers[s];
+                        let d = [cc[0] - pc[0], cc[1] - pc[1], cc[2] - pc[2]];
+                        out.add_assign(&shallower[p - hi].shifted(d));
+                    },
+                );
+            });
+        }
     }
 
-    /// Freeze the M2L phase's inputs (upward pass + SoA transpose, run
-    /// once) so [`GravitySolver::m2l_bench_run`] can time the multipole
-    /// kernel alone — the Figure 9 sweep, without the other phases
-    /// diluting the granularity signal.
+    /// Phase 3b: near-field source leaves read by leaves owned elsewhere
+    /// cross as `p2p` parcels (decoded into the recycled halo), then each
+    /// locality evaluates local expansions at its owned leaves' cell
+    /// centers and adds the P2P near field — one disjoint output slot per
+    /// leaf, no locks.  Sources come through a dense per-leaf table built
+    /// outside the kernel (owned leaves from the inputs, the rest from the
+    /// received halo), so the cell × source loop does no lookup and no
+    /// owner test.
+    fn near_field(
+        &self,
+        plan: &GravityPlan,
+        dist: &DistPlan,
+        points: &[&PointMasses],
+        shards: &mut [ShardBuffers],
+        spaces: &[ExecSpace],
+        wire: &Wire,
+    ) {
+        wire.exchange(
+            shards,
+            &dist.p2p_halo,
+            ParcelClass::P2p,
+            0,
+            |_, li, out| write_points_flat(points[li], out),
+            |b, li, buf| read_points_into(buf, &mut b.halo[li]),
+        );
+        let mode = self.opts.vector_mode;
+        on_localities(spaces, shards, &|loc, space, b| {
+            let sides = points.iter().zip(&b.halo).zip(&dist.leaf_owner);
+            let table: Vec<&PointMasses> = sides
+                .map(|((&own, recv), &o)| if o == loc { own } else { recv })
+                .collect();
+            let owned = &dist.owned_leaves[loc];
+            b.fields.clear();
+            b.fields.resize_with(owned.len(), LeafField::default);
+            let policy = RangePolicy::new(0, owned.len())
+                .with_chunk(ChunkSpec::tasks_or_auto(self.opts.tasks_per_p2p_kernel));
+            let locals = &b.locals;
+            parallel_for_mut(space, policy, &mut b.fields, |i, out| {
+                let li = owned[i];
+                let pts = table[li];
+                let ncells = pts.len();
+                let mut field = LeafField {
+                    phi: self.scratch.checkout(ncells),
+                    gx: self.scratch.checkout(ncells),
+                    gy: self.scratch.checkout(ncells),
+                    gz: self.scratch.checkout(ncells),
+                };
+                let slot = plan.leaf_slots[li];
+                let center = plan.centers[slot];
+                let local = &locals[slot];
+                let p2p_srcs = plan.p2p_sources_of(li);
+                for c in 0..ncells {
+                    let x = [pts.xs[c], pts.ys[c], pts.zs[c]];
+                    let off = [x[0] - center[0], x[1] - center[1], x[2] - center[2]];
+                    let (mut phi, mut g) = local.evaluate(off);
+                    for &src_leaf in p2p_srcs {
+                        let sp = table[src_leaf];
+                        let (p, gg) = match mode {
+                            VectorMode::Scalar => p2p_at_w::<1>(sp, x[0], x[1], x[2]),
+                            VectorMode::Sve512 => p2p_at_wide(sp, x[0], x[1], x[2]),
+                        };
+                        phi += p;
+                        for a in 0..3 {
+                            g[a] += gg[a];
+                        }
+                    }
+                    field.phi[c] = phi;
+                    field.gx[c] = g[0];
+                    field.gy[c] = g[1];
+                    field.gz[c] = g[2];
+                }
+                *out = field;
+            });
+        });
+    }
+
+    /// Freeze the M2L phase's inputs so [`GravitySolver::m2l_bench_run`]
+    /// can time the multipole kernel alone — the Figure 9 sweep, without
+    /// the other phases diluting the granularity signal.  One serial
+    /// one-locality solve leaves them (the multipoles and their SoA
+    /// transpose) in its recycled locality buffers.
     pub fn m2l_bench_inputs(
         &self,
         plan: &GravityPlan,
         sources: &HashMap<NodeId, LeafSources>,
     ) -> M2lBench {
-        let mut multipoles = Vec::new();
-        self.upward_pass(plan, sources, &mut multipoles, &ExecSpace::Serial);
-        let mut soa = MultipoleSoA::default();
-        soa.fill(&multipoles);
+        let dist = self.one_locality(plan);
+        self.solve_sharded(plan, &dist, sources, &[ExecSpace::Serial]);
+        let mut shards = self.cache.shards.lock().take().unwrap_or_default();
         M2lBench {
-            soa,
-            locals: Vec::new(),
-            acc: Vec::new(),
+            shard: shards.pop().unwrap_or_default(),
         }
     }
 
@@ -540,7 +683,7 @@ impl GravitySolver {
     /// Buffers persist inside `bench`, so repeated calls measure the
     /// kernel, not allocation.
     pub fn m2l_bench_run(&self, plan: &GravityPlan, bench: &mut M2lBench, space: &ExecSpace) {
-        self.multipole_kernel(plan, &bench.soa, &mut bench.locals, &mut bench.acc, space);
+        self.far_field(plan, &plan.m2l_targets, &mut bench.shard, space);
     }
 }
 
@@ -548,56 +691,61 @@ impl GravitySolver {
 /// closed-loop granularity bench (see [`GravitySolver::m2l_bench_inputs`]).
 #[derive(Debug, Default)]
 pub struct M2lBench {
-    soa: MultipoleSoA,
-    locals: Vec<LocalExpansion>,
-    acc: Vec<LocalExpansion>,
+    shard: ShardBuffers,
 }
 
-/// Phase 3a: propagate local expansions down the tree (L2L), in *gather*
-/// form — every slot at level L+1 adds its parent's shifted expansion, so
-/// each per-level launch writes disjoint `&mut` chunks of the child range
-/// while reading the (finalized, shallower) parent range.  One addition
-/// per child, same arithmetic as the scatter form.
-fn downward_pass(
-    plan: &GravityPlan,
-    locals: &mut [LocalExpansion],
-    space: &ExecSpace,
-    tasks_per_slot_kernel: usize,
-) {
-    let max_level = plan.max_level();
-    for level in 0..max_level {
-        let (b, e) = plan.level_ranges[level as usize + 1];
-        if b == e {
-            continue;
+/// `[first, last + 1)` of an ascending slot list — the span a locality's
+/// level launch covers (exactly its owned slots for SFC-contiguous
+/// partitions such as [`octree::partition_morton`]).
+fn span(slots: &[usize]) -> Option<(usize, usize)> {
+    Some((*slots.first()?, *slots.last()? + 1))
+}
+
+/// Run one phase on every locality at once: locality `loc`'s launch
+/// `f(loc, &spaces[loc], &mut bufs[loc])` is a task on its own runtime,
+/// except locality 0's, which the calling thread runs itself after
+/// spawning the others (so at one locality nothing is spawned).  The
+/// joins nest, and each waiting thread helps the runtime it waits on.
+fn on_localities<B, F>(spaces: &[ExecSpace], bufs: &mut [B], f: &F)
+where
+    B: Send,
+    F: Fn(usize, &ExecSpace, &mut B) + Sync,
+{
+    let Some((buf, rest)) = bufs.split_last_mut() else {
+        return;
+    };
+    let loc = rest.len();
+    let space = &spaces[loc];
+    match space {
+        ExecSpace::Hpx(hpx) if loc > 0 => hpx.runtime.scope(|s| {
+            s.spawn(move || f(loc, space, buf));
+            on_localities(spaces, rest, f);
+        }),
+        _ => {
+            on_localities(spaces, rest, f);
+            f(loc, space, buf);
         }
-        // Slots ≥ e are the parent level and everything shallower — all
-        // finalized by earlier iterations; slots in [b, e) are written.
-        let (rest, shallower) = locals.split_at_mut(e);
-        let child_slice = &mut rest[b..];
-        // Lane-aligned carving, same invariant as the upward pass.
-        let policy = RangePolicy::new(0, e - b)
-            .with_chunk(ChunkSpec::tasks_or_auto(tasks_per_slot_kernel))
-            .with_lanes(sve_simd::SVE_LANES_F64);
-        parallel_for_mut(space, policy, child_slice, |i, out| {
-            let s = b + i;
-            let p = plan.parent_slot[s];
-            debug_assert!(p >= e, "parent must be in the shallower half");
-            let pc = plan.centers[p];
-            let cc = plan.centers[s];
-            let d = [cc[0] - pc[0], cc[1] - pc[1], cc[2] - pc[2]];
-            out.add_assign(&shallower[p - e].shifted(d));
-        });
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::gravity::direct::direct_field;
     use crate::units::BOX_SIZE;
 
-    /// Deterministic pseudo-random density on a leaf's cell centers.
     fn make_sources(tree: &Tree, n: usize) -> HashMap<NodeId, LeafSources> {
+        sources_in_box(tree, n, BOX_SIZE)
+    }
+
+    /// Deterministic pseudo-random density (a blob with a ripple) on a
+    /// leaf's `n`³ cell centers, the unit cube mapped onto a cube of edge
+    /// `box_size` centered on the origin.
+    pub(crate) fn sources_in_box(
+        tree: &Tree,
+        n: usize,
+        box_size: f64,
+    ) -> HashMap<NodeId, LeafSources> {
         let mut out = HashMap::new();
         for leaf in tree.leaves() {
             let (corner, size) = leaf.cube();
@@ -609,10 +757,9 @@ mod tests {
                         let ux = corner[0] + (i as f64 + 0.5) * h;
                         let uy = corner[1] + (j as f64 + 0.5) * h;
                         let uz = corner[2] + (k as f64 + 0.5) * h;
-                        let x = (ux - 0.5) * BOX_SIZE;
-                        let y = (uy - 0.5) * BOX_SIZE;
-                        let z = (uz - 0.5) * BOX_SIZE;
-                        // Smooth blob + deterministic ripple.
+                        let x = (ux - 0.5) * box_size;
+                        let y = (uy - 0.5) * box_size;
+                        let z = (uz - 0.5) * box_size;
                         let r2 = x * x + y * y + z * z;
                         let m = (1.0 + 0.3 * (13.0 * ux).sin() * (7.0 * uy).cos())
                             * (-2.0 * r2).exp()
@@ -626,6 +773,27 @@ mod tests {
             out.insert(leaf, LeafSources { points });
         }
         out
+    }
+
+    /// Assert two solves' fields agree to the last bit on every leaf.
+    pub(crate) fn assert_bit_identical(
+        tree: &Tree,
+        a: &HashMap<NodeId, LeafField>,
+        b: &HashMap<NodeId, LeafField>,
+    ) {
+        assert_eq!(a.len(), b.len());
+        for leaf in tree.leaves() {
+            let (fa, fb) = (&a[&leaf], &b[&leaf]);
+            for (x, y) in [
+                (&fa.phi, &fb.phi),
+                (&fa.gx, &fb.gx),
+                (&fa.gy, &fb.gy),
+                (&fa.gz, &fb.gz),
+            ] {
+                let bits = |v: &Recycled<f64>| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(x), bits(y), "leaf {leaf:?}");
+            }
+        }
     }
 
     fn all_points(sources: &HashMap<NodeId, LeafSources>, tree: &Tree) -> PointMasses {
@@ -699,16 +867,9 @@ mod tests {
         let (f1, _) = GravitySolver::new(base).solve(&tree, &sources, &ExecSpace::hpx(rt.clone()));
         base.tasks_per_multipole_kernel = 16;
         let (f16, _) = GravitySolver::new(base).solve(&tree, &sources, &ExecSpace::hpx(rt.clone()));
-        for leaf in tree.leaves() {
-            let a = &f1[&leaf];
-            let b = &f16[&leaf];
-            for c in 0..a.phi.len() {
-                // Per-target summation order is fixed by the plan's CSR
-                // lists, so splitting is exactly bitwise neutral.
-                assert_eq!(a.phi[c].to_bits(), b.phi[c].to_bits());
-                assert_eq!(a.gx[c].to_bits(), b.gx[c].to_bits());
-            }
-        }
+        // Per-target summation order is fixed by the plan's CSR lists, so
+        // splitting is exactly bitwise neutral.
+        assert_bit_identical(&tree, &f1, &f16);
         rt.shutdown();
     }
 
@@ -729,15 +890,7 @@ mod tests {
             let (f_sve, s_sve) =
                 GravitySolver::new(opts).solve(&tree, &sources, &ExecSpace::Serial);
             assert_eq!(s_scalar, s_sve);
-            for leaf in tree.leaves() {
-                let (fa, fb) = (&f_scalar[&leaf], &f_sve[&leaf]);
-                for c in 0..fa.phi.len() {
-                    assert_eq!(fa.phi[c].to_bits(), fb.phi[c].to_bits());
-                    assert_eq!(fa.gx[c].to_bits(), fb.gx[c].to_bits());
-                    assert_eq!(fa.gy[c].to_bits(), fb.gy[c].to_bits());
-                    assert_eq!(fa.gz[c].to_bits(), fb.gz[c].to_bits());
-                }
-            }
+            assert_bit_identical(&tree, &f_scalar, &f_sve);
         }
     }
 
@@ -760,17 +913,8 @@ mod tests {
             let (f_fresh, s_fresh) = fresh.solve(&tree, &sources, &ExecSpace::Serial);
             assert_eq!(s_first, s_hit);
             assert_eq!(s_first, s_fresh);
-            for leaf in tree.leaves() {
-                for (a, b) in [(&f_first, &f_hit), (&f_first, &f_fresh)] {
-                    let (fa, fb) = (&a[&leaf], &b[&leaf]);
-                    for c in 0..fa.phi.len() {
-                        assert_eq!(fa.phi[c].to_bits(), fb.phi[c].to_bits());
-                        assert_eq!(fa.gx[c].to_bits(), fb.gx[c].to_bits());
-                        assert_eq!(fa.gy[c].to_bits(), fb.gy[c].to_bits());
-                        assert_eq!(fa.gz[c].to_bits(), fb.gz[c].to_bits());
-                    }
-                }
-            }
+            assert_bit_identical(&tree, &f_first, &f_hit);
+            assert_bit_identical(&tree, &f_first, &f_fresh);
         }
     }
 
@@ -792,13 +936,7 @@ mod tests {
         let fresh = GravitySolver::default();
         let (f_fresh, s_fresh) = fresh.solve(&tree, &sources, &ExecSpace::Serial);
         assert_eq!(s_cached, s_fresh);
-        for leaf in tree.leaves() {
-            let (fa, fb) = (&f_cached[&leaf], &f_fresh[&leaf]);
-            for c in 0..fa.phi.len() {
-                assert_eq!(fa.phi[c].to_bits(), fb.phi[c].to_bits());
-                assert_eq!(fa.gx[c].to_bits(), fb.gx[c].to_bits());
-            }
-        }
+        assert_bit_identical(&tree, &f_cached, &f_fresh);
     }
 
     #[test]

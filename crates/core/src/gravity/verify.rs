@@ -512,7 +512,7 @@ fn supply_of(exchanges: &[Exchange]) -> BTreeSet<(usize, usize, usize)> {
 /// The per-phase demand sets: which `(from, to, slot)` triples the
 /// consumers of each phase require, derived from the interaction plan
 /// and the ownership tables — the static image of what
-/// `solve_distributed` reads after each barrier.
+/// `solve_sharded` reads after each barrier.
 fn demand_of(plan: &GravityPlan, dist: &DistPlan, phase: Phase) -> BTreeSet<(usize, usize, usize)> {
     let mut demand = BTreeSet::new();
     match phase {

@@ -2,7 +2,7 @@
 //! schedule explorer and the race detector.
 //!
 //! [`octotiger::gravity::DistPlan`] freezes which expansions cross which
-//! locality boundary in each solver phase; `solve_distributed` then runs
+//! locality boundary in each solver phase; `solve_sharded` then runs
 //! level-lockstep phases with one parcel per frozen exchange.  Two failure
 //! classes are unique to that distribution layer, and each gets a model
 //! here:
@@ -58,7 +58,7 @@ pub enum DistRaceBug {
 /// Build and drain the future graph of one distributed solve over `dist`:
 /// per-locality phase tasks in level lockstep, one future per frozen
 /// exchange (the parcel), receivers gated on their inbox exactly like
-/// `solve_distributed`'s lockstep `try_receive`.
+/// `solve_sharded`'s lockstep `try_receive`.
 ///
 /// Must run inside a deterministic runtime (via
 /// [`crate::model::ModelChecker`]): the final waits double as stall

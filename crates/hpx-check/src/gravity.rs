@@ -1,9 +1,11 @@
 //! Race model of the plan-based FMM gravity solver.
 //!
-//! The solver's three phases run as chunked `parallel_for_mut` launches
-//! over the plan's slot table: each chunk owns a disjoint `&mut` slice of
-//! the output buffer while reading already-finalized slots from the other
-//! half of a `split_at_mut`.  That safety argument has two load-bearing
+//! The sharded solve's phases run as chunked `parallel_for_mut` launches
+//! over each locality's span of the plan's slot table; at one locality
+//! (which owns every slot and exchanges nothing) that is one launch per
+//! level over the whole level range, the sequence modelled here.  Each
+//! chunk owns a disjoint `&mut` slice of the output buffer while reading
+//! already-finalized slots from the other half of a `split_at_mut`.  That safety argument has two load-bearing
 //! ingredients the type system can only check *inside* one launch:
 //!
 //! 1. **chunk disjointness** — two chunks of one level-kernel must never
@@ -70,11 +72,12 @@ fn lane_blocks(b: usize, e: usize, lo: usize, hi: usize) -> (usize, usize) {
     (wlo, whi)
 }
 
-/// Replay the plan-based solver's launch sequence through a
+/// Replay the sharded solve's one-locality launch sequence through a
 /// [`RaceDetector`]: per-level chunked upward (P2M/M2M), the chunked M2L
 /// kernel plus its serial scatter, the per-level chunked downward gather
 /// (L2L), and the per-leaf evaluation — with the happens-before edges the
-/// scoped joins provide (minus whatever `bug` drops).
+/// scoped joins provide (minus whatever `bug` drops).  The exchange
+/// schedule of one locality is empty, so no parcel edges appear.
 pub fn race_model_gravity_plan(
     plan: &GravityPlan,
     chunks: usize,
